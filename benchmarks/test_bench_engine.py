@@ -46,14 +46,11 @@ import pytest
 from repro import ApplicationWorkload, ResilienceParameters
 from repro.core.protocols import (
     AbftPeriodicCkptSimulator,
-    AbftPeriodicCkptVectorized,
     BiPeriodicCkptSimulator,
-    BiPeriodicCkptVectorized,
     NoFaultToleranceSimulator,
-    NoFaultToleranceVectorized,
     PurePeriodicCkptSimulator,
-    PurePeriodicCkptVectorized,
 )
+from repro.core.registry import resolve_protocol
 from repro.failures import LogNormalFailureModel, WeibullFailureModel
 from repro.simulation.rng import RandomStreams
 from repro.simulation.trace import CATEGORIES
@@ -126,10 +123,7 @@ EVENT_SIMULATORS = {
 }
 
 VECTORIZED_ENGINES = {
-    "NoFT": NoFaultToleranceVectorized,
-    "PurePeriodicCkpt": PurePeriodicCkptVectorized,
-    "BiPeriodicCkpt": BiPeriodicCkptVectorized,
-    "ABFT&PeriodicCkpt": AbftPeriodicCkptVectorized,
+    name: resolve_protocol(name).vectorized_cls for name in EVENT_SIMULATORS
 }
 
 LAW_MODELS = {
@@ -586,7 +580,9 @@ def test_bench_event_backend(benchmark):
 
 
 def test_bench_vectorized_backend(benchmark):
-    engine = PurePeriodicCkptVectorized(_parameters(), _workload("PurePeriodicCkpt"))
+    engine = resolve_protocol("PurePeriodicCkpt").vectorized_cls(
+        _parameters(), _workload("PurePeriodicCkpt")
+    )
     table = benchmark.pedantic(
         engine.run_trials, args=(SWEEP_TRIALS,), kwargs={"seed": SEED},
         iterations=1, rounds=3,

@@ -17,8 +17,9 @@ enforces the sharding acceptance floors:
 
 The trajectory -- per-worker-count seconds and speedups over the serial
 vectorized run, plus the trace law's event/vectorized rates -- is written
-to ``BENCH_PR8.json`` (path overridable via ``REPRO_BENCH_PR8_PATH``) and
-uploaded by the CI bench job as a workflow artifact.
+to the git-ignored ``.bench_build/BENCH_PR8.json`` (path overridable via
+``REPRO_BENCH_PR8_PATH``) and uploaded by the CI bench job as a workflow
+artifact.
 
 Quick mode (``REPRO_BENCH_QUICK=1``) shrinks the event-backend reference
 timings; the sharded scaling cell stays at 100k trials because the floors
@@ -41,13 +42,14 @@ import pytest
 
 from repro import ApplicationWorkload, ResilienceParameters
 from repro.campaign import ShardedVectorizedExecutor
-from repro.core.protocols import (
-    PurePeriodicCkptSimulator,
-    PurePeriodicCkptVectorized,
-)
+from repro.core.protocols import PurePeriodicCkptSimulator
+from repro.core.registry import resolve_protocol
 from repro.failures import TraceFailureModel
 from repro.simulation.rng import RandomStreams
-from repro.simulation.vectorized import vectorized_backend_obstacle
+from repro.simulation.vectorized import (
+    VectorizedPhasedSimulator,
+    vectorized_backend_obstacle,
+)
 from repro.utils import DAY, MINUTE
 
 QUICK = os.environ.get("REPRO_BENCH_QUICK", "0") not in ("0", "", "false")
@@ -61,7 +63,8 @@ WORKER_COUNTS = (1, 2, 4, 8)
 SCALING_FLOORS = {2: 1.7, 4: 3.0}
 TRAJECTORY_PATH = Path(
     os.environ.get(
-        "REPRO_BENCH_PR8_PATH", Path(__file__).with_name("BENCH_PR8.json")
+        "REPRO_BENCH_PR8_PATH",
+        Path(__file__).resolve().parent.parent / ".bench_build" / "BENCH_PR8.json",
     )
 )
 
@@ -80,8 +83,10 @@ def _workload() -> ApplicationWorkload:
     return ApplicationWorkload.single_epoch(1 * DAY, 0.8, library_fraction=0.8)
 
 
-def _engine() -> PurePeriodicCkptVectorized:
-    return PurePeriodicCkptVectorized(_parameters(), _workload())
+def _engine() -> VectorizedPhasedSimulator:
+    return resolve_protocol("PurePeriodicCkpt").vectorized_cls(
+        _parameters(), _workload()
+    )
 
 
 def _trace_model() -> TraceFailureModel:
@@ -143,10 +148,7 @@ def test_sharded_speedup_floor(workers):
 # --------------------------------------------------------------------- #
 def test_trace_law_vectorizes_without_obstacle():
     obstacle = vectorized_backend_obstacle(
-        PurePeriodicCkptVectorized,
-        _trace_model(),
-        protocol="PurePeriodicCkpt",
-        law="trace",
+        "PurePeriodicCkpt", "trace", type(_trace_model())
     )
     assert obstacle is None, obstacle
 
@@ -164,7 +166,7 @@ def test_trace_vectorized_beats_event_replay():
     for trial in range(event_runs):
         simulator.simulate(streams.generator_for_trial(trial))
     event_seconds = time.perf_counter() - start
-    engine = PurePeriodicCkptVectorized(
+    engine = resolve_protocol("PurePeriodicCkpt").vectorized_cls(
         parameters, workload, failure_model=model
     )
     vectorized_trials = 2000 if QUICK else 10000
@@ -214,7 +216,7 @@ def test_write_multicore_trajectory():
     for trial in range(event_runs):
         simulator.simulate(streams.generator_for_trial(trial))
     event_seconds = time.perf_counter() - start
-    trace_engine = PurePeriodicCkptVectorized(
+    trace_engine = resolve_protocol("PurePeriodicCkpt").vectorized_cls(
         parameters, workload, failure_model=model
     )
     vectorized_trials = 2000 if QUICK else 10000
@@ -246,6 +248,7 @@ def test_write_multicore_trajectory():
             "speedup": round(vectorized_rate / event_rate, 2),
         },
     }
+    TRAJECTORY_PATH.parent.mkdir(parents=True, exist_ok=True)
     TRAJECTORY_PATH.write_text(
         json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )

@@ -15,9 +15,10 @@ module enforces the acceptance bound from the observability PR:
    one.  Timers never change values.
 
 The trajectory -- baseline and instrumented seconds, the overhead ratio,
-and the traced run's phase breakdown -- is written to ``BENCH_OBS.json``
-(path overridable via ``REPRO_BENCH_OBS_PATH``) and uploaded by the CI
-bench job as a workflow artifact.
+and the traced run's phase breakdown -- is written to the git-ignored
+``.bench_build/BENCH_OBS.json`` (path overridable via
+``REPRO_BENCH_OBS_PATH``) and uploaded by the CI bench job as a workflow
+artifact.
 
 Quick mode (``REPRO_BENCH_QUICK=1``) shrinks the cell so the suite stays
 fast under the tier-1 run; the 2% gate still applies, cushioned by the
@@ -40,7 +41,8 @@ import pytest
 
 import repro.obs as obs
 from repro import ApplicationWorkload, ResilienceParameters
-from repro.core.protocols import PurePeriodicCkptVectorized
+from repro.core.registry import resolve_protocol
+from repro.simulation.vectorized import VectorizedPhasedSimulator
 from repro.utils import DAY, MINUTE
 
 QUICK = os.environ.get("REPRO_BENCH_QUICK", "0") not in ("0", "", "false")
@@ -55,7 +57,8 @@ OVERHEAD_RATIO = 1.02
 ABSOLUTE_SLACK = 0.010
 TRAJECTORY_PATH = Path(
     os.environ.get(
-        "REPRO_BENCH_OBS_PATH", Path(__file__).with_name("BENCH_OBS.json")
+        "REPRO_BENCH_OBS_PATH",
+        Path(__file__).resolve().parent.parent / ".bench_build" / "BENCH_OBS.json",
     )
 )
 
@@ -85,14 +88,16 @@ def _workload() -> ApplicationWorkload:
     return ApplicationWorkload.single_epoch(1 * DAY, 0.8, library_fraction=0.8)
 
 
-def _engine() -> PurePeriodicCkptVectorized:
-    return PurePeriodicCkptVectorized(_parameters(), _workload())
+def _engine() -> VectorizedPhasedSimulator:
+    return resolve_protocol("PurePeriodicCkpt").vectorized_cls(
+        _parameters(), _workload()
+    )
 
 
 def _time_baseline(engine, trials: int) -> float:
     # The pre-instrumentation body of run_trial_range: derive the trial
     # generators, run the engine core, no flag checks and no profiling.
-    core = engine._engine
+    core = engine
     start = time.perf_counter()
     core._run(trials, core._trial_rngs(0, trials, SEED))
     return time.perf_counter() - start
@@ -120,7 +125,7 @@ def test_disabled_instrumentation_overhead_gate():
 
     # The gated run doubles as a correctness check: the public entry
     # point must match the bare body bit-for-bit.
-    core = engine._engine
+    core = engine
     assert engine.run_trial_range(0, 200, seed=SEED) == core._run(
         200, core._trial_rngs(0, 200, SEED)
     )
@@ -176,4 +181,5 @@ def _write_trajectory(
             "absolute_slack_seconds": ABSOLUTE_SLACK,
         },
     }
+    TRAJECTORY_PATH.parent.mkdir(parents=True, exist_ok=True)
     TRAJECTORY_PATH.write_text(json.dumps(payload, indent=2) + "\n")

@@ -13,10 +13,10 @@ and gates three contracts:
   tiers (repeats hit tier 1, on/off-grid map questions hit tier 2,
   out-of-hull ones fall back to tier 3).
 
-Per-tier latency percentiles are appended to the BENCH trajectory as
-``BENCH_SERVICE.json`` (path overridable via ``REPRO_BENCH_SERVICE_PATH``)
-and uploaded as a CI artifact, so latency regressions are visible across
-PRs.  ``REPRO_BENCH_QUICK=1`` shrinks the workload.
+Per-tier latency percentiles are appended to the BENCH trajectory as the
+git-ignored ``.bench_build/BENCH_SERVICE.json`` (path overridable via
+``REPRO_BENCH_SERVICE_PATH``) and uploaded as a CI artifact, so latency
+regressions are visible across PRs.  ``REPRO_BENCH_QUICK=1`` shrinks the workload.
 
 Run locally with::
 
@@ -42,7 +42,8 @@ QUICK = os.environ.get("REPRO_BENCH_QUICK", "0") not in ("0", "", "false")
 
 TRAJECTORY_PATH = Path(
     os.environ.get(
-        "REPRO_BENCH_SERVICE_PATH", Path(__file__).with_name("BENCH_SERVICE.json")
+        "REPRO_BENCH_SERVICE_PATH",
+        Path(__file__).resolve().parent.parent / ".bench_build" / "BENCH_SERVICE.json",
     )
 )
 
@@ -172,6 +173,7 @@ def test_service_load_replay_and_latency_gate():
         "latency_by_tier": summary,
         "p99_gate_seconds": P99_GATE_SECONDS,
     }
+    TRAJECTORY_PATH.parent.mkdir(parents=True, exist_ok=True)
     TRAJECTORY_PATH.write_text(
         json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )

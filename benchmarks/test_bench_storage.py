@@ -16,9 +16,9 @@ contract on the clock:
    transport pickles storage-carrying parameters).
 
 The measured cell -- seconds per side, the ratio, and the lowered costs --
-is written to ``BENCH_STORAGE.json`` (path overridable via
-``REPRO_BENCH_STORAGE_PATH``) and uploaded by the CI bench job as a
-workflow artifact.
+is written to the git-ignored ``.bench_build/BENCH_STORAGE.json`` (path
+overridable via ``REPRO_BENCH_STORAGE_PATH``) and uploaded by the CI bench
+job as a workflow artifact.
 
 Quick mode (``REPRO_BENCH_QUICK=1``) shrinks the cell to 20k trials; the
 10% gate still holds there because both sides shrink together.
@@ -44,7 +44,8 @@ from repro.checkpointing import (
     RemoteFileSystemStorage,
     StorageStack,
 )
-from repro.core.protocols import PurePeriodicCkptVectorized
+from repro.core.registry import resolve_protocol
+from repro.simulation.vectorized import VectorizedPhasedSimulator
 from repro.utils import DAY, GB, MINUTE, TB
 
 QUICK = os.environ.get("REPRO_BENCH_QUICK", "0") not in ("0", "", "false")
@@ -54,7 +55,8 @@ SEED = 2014
 OVERHEAD_CEILING = 1.10
 TRAJECTORY_PATH = Path(
     os.environ.get(
-        "REPRO_BENCH_STORAGE_PATH", Path(__file__).with_name("BENCH_STORAGE.json")
+        "REPRO_BENCH_STORAGE_PATH",
+        Path(__file__).resolve().parent.parent / ".bench_build" / "BENCH_STORAGE.json",
     )
 )
 
@@ -92,8 +94,10 @@ def _workload() -> ApplicationWorkload:
     return ApplicationWorkload.single_epoch(1 * DAY, 0.8, library_fraction=0.8)
 
 
-def _engine(parameters: ResilienceParameters) -> PurePeriodicCkptVectorized:
-    return PurePeriodicCkptVectorized(parameters, _workload())
+def _engine(parameters: ResilienceParameters) -> VectorizedPhasedSimulator:
+    return resolve_protocol("PurePeriodicCkpt").vectorized_cls(
+        parameters, _workload()
+    )
 
 
 def _time_run(engine, trials: int) -> float:
@@ -169,6 +173,7 @@ def test_storage_cell_within_flat_overhead_ceiling():
         ),
         "lowered_recovery_seconds": round(cell["lowered_recovery_seconds"], 3),
     }
+    TRAJECTORY_PATH.parent.mkdir(parents=True, exist_ok=True)
     TRAJECTORY_PATH.write_text(
         json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )

@@ -21,6 +21,13 @@ the serial runner.  The same root seed therefore produces a bit-identical
 batch size or backend (the property tests assert ``==``, not approximate
 equality).  With ``seed=None`` each trial draws fresh OS entropy, exactly
 like the serial path, and no reproducibility is promised.
+
+Backend selection
+-----------------
+:func:`run_campaign` is the one place that decides which Monte-Carlo engine
+runs a protocol's campaign (``backend="event"``, ``"vectorized"`` or
+``"auto"``).  The sweep runner, period refinement, regime maps and the
+advisor service all reach it, so the rule and its diagnostics exist once.
 """
 
 from __future__ import annotations
@@ -29,10 +36,11 @@ import math
 import os
 from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Any, List, Mapping, Optional
 
 import repro.obs as _obs
 
+from repro.core.registry import resolve_protocol
 from repro.simulation.runner import (
     MonteCarloResult,
     SimulateOnce,
@@ -41,11 +49,18 @@ from repro.simulation.runner import (
 )
 from repro.simulation.table import TrialTable
 from repro.simulation.trace import ExecutionTrace
+from repro.simulation.vectorized import (
+    ENGINE_BACKENDS,
+    VectorizedBackendError,
+    note_backend_fallback,
+    vectorized_backend_obstacle,
+)
 
 __all__ = [
     "ParallelMonteCarloExecutor",
     "ShardedVectorizedExecutor",
     "resolve_worker_count",
+    "run_campaign",
     "run_monte_carlo_parallel",
 ]
 
@@ -449,3 +464,76 @@ def run_monte_carlo_parallel(
         keep_traces=keep_traces,
         confidence=confidence,
     )
+
+
+def run_campaign(
+    protocol: str,
+    parameters: Any,
+    workload: Any,
+    *,
+    runs: int,
+    seed: Optional[int],
+    backend: str,
+    max_slowdown: float,
+    failure_model: Any = None,
+    law: str = "exponential",
+    knobs: Optional[Mapping[str, Any]] = None,
+    executor: Optional[ParallelMonteCarloExecutor] = None,
+    vector_executor: Optional[ShardedVectorizedExecutor] = None,
+) -> TrialTable:
+    """Run one protocol's Monte-Carlo campaign on the selected backend.
+
+    Resolves ``protocol`` in the registry and asks
+    :func:`~repro.simulation.vectorized.vectorized_backend_obstacle` whether
+    the across-trials engine can run it under ``failure_model`` (``None``
+    is the simulators' default exponential law; ``law`` is the registered
+    law name used in diagnostics).  ``"vectorized"`` raises
+    :class:`~repro.simulation.vectorized.VectorizedBackendError` naming the
+    obstacle, ``"auto"`` notes the fallback once on stderr and runs the
+    event simulator.  ``knobs`` are the protocol's constructor options
+    (periods, safeguard, ...), passed to whichever engine runs.
+
+    Vectorized campaigns shard over ``vector_executor`` when one is given
+    (in process otherwise); event campaigns fan out over ``executor`` (a
+    serial one otherwise).  The engines are bit-identical trial for trial,
+    so the returned :class:`~repro.simulation.table.TrialTable` does not
+    depend on the backend.
+    """
+    if backend not in ENGINE_BACKENDS:
+        raise ValueError(
+            f"unknown engine backend {backend!r}; expected one of {ENGINE_BACKENDS}"
+        )
+    entry = resolve_protocol(protocol)
+    knobs = dict(knobs or {})
+    if backend != "event":
+        obstacle = vectorized_backend_obstacle(
+            entry.name, law, None if failure_model is None else type(failure_model)
+        )
+        if obstacle is None:
+            engine = entry.vectorized_cls(
+                parameters,
+                workload,
+                failure_model=failure_model,
+                max_slowdown=max_slowdown,
+                **knobs,
+            )
+            if vector_executor is None:
+                return engine.run_trials(runs, seed=seed)
+            return vector_executor.run(engine, runs=runs, seed=seed)
+        if backend == "vectorized":
+            raise VectorizedBackendError(
+                f"backend='vectorized' cannot run this campaign: {obstacle}; "
+                "use backend='event' or backend='auto'"
+            )
+        note_backend_fallback(obstacle)
+    simulator = entry.simulator_cls(
+        parameters,
+        workload,
+        failure_model=failure_model,
+        max_slowdown=max_slowdown,
+        **knobs,
+    )
+    campaign = (executor or ParallelMonteCarloExecutor(workers=1)).run(
+        simulator.simulate_once, runs=runs, seed=seed
+    )
+    return campaign.table

@@ -32,6 +32,7 @@ from repro.campaign.cache import SweepCache
 from repro.campaign.executor import (
     ParallelMonteCarloExecutor,
     ShardedVectorizedExecutor,
+    run_campaign,
 )
 from repro.core.analytical.grid import GRID_PROTOCOLS, waste_points
 from repro.core.parameters import ResilienceParameters
@@ -42,16 +43,9 @@ from repro.core.registry import (
     protocol_names,
     resolve_failure_model,
     resolve_protocol,
-    vectorized_protocol_names,
 )
 from repro.simulation.table import TrialTable
-from repro.simulation.vectorized import (
-    ENGINE_BACKENDS,
-    VectorizedBackendError,
-    note_backend_fallback,
-    supports_vectorized_backend,
-    vectorized_backend_obstacle,
-)
+from repro.simulation.vectorized import ENGINE_BACKENDS
 
 __all__ = ["SweepJob", "GridPoint", "SweepResult", "SweepRunner", "CAMPAIGN_PROTOCOLS"]
 
@@ -98,10 +92,10 @@ class SweepJob:
     backend:
         Monte-Carlo engine for simulated points: ``"event"`` (default, the
         per-trial state-machine walk), ``"vectorized"`` (the across-trials
-        engine; every selected protocol must have a registered vectorized
-        engine and the failure law must be one of the registry's vectorized
-        laws -- exponential, Weibull, log-normal, trace -- else the job fails with
-        an actionable error) or ``"auto"`` (vectorized where supported,
+        engine; every selected protocol must have a registered schedule
+        compiler and the failure law must be one of the registry's vectorized
+        laws -- exponential, Weibull, log-normal, trace -- else the job fails
+        with an actionable error) or ``"auto"`` (vectorized where supported,
         event elsewhere).  The engines are bit-identical trial for trial,
         so the backend is *not* part of the cache key -- entries are
         interchangeable.
@@ -514,50 +508,19 @@ class SweepRunner:
         parameters = job.parameters.with_mtbf(mtbf)
         workload = job.workload(alpha)
         failure_model = job.point_failure_model(mtbf)
-        tables: Dict[str, TrialTable] = {}
-        for name in job.protocols:
-            entry = resolve_protocol(name)
-            use_vectorized = False
-            if job.backend in ("vectorized", "auto"):
-                supported = supports_vectorized_backend(
-                    entry.vectorized_cls, failure_model
-                )
-                if not supported:
-                    detail = vectorized_backend_obstacle(
-                        entry.vectorized_cls,
-                        failure_model,
-                        protocol=entry.name,
-                        law=job.failure_model,
-                        available=vectorized_protocol_names(),
-                    )
-                    if job.backend == "vectorized":
-                        raise VectorizedBackendError(
-                            f"backend='vectorized' cannot run this sweep: "
-                            f"{detail}; use backend='event' or backend='auto'"
-                        )
-                    note_backend_fallback(detail)
-                use_vectorized = supported
-            if use_vectorized:
-                engine = entry.vectorized_cls(
-                    parameters,
-                    workload,
-                    failure_model=failure_model,
-                    max_slowdown=job.max_slowdown,
-                )
-                tables[name] = self._vector_executor.run(
-                    engine, runs=job.simulation_runs, seed=job.seed
-                )
-            else:
-                simulator = entry.simulator_cls(
-                    parameters,
-                    workload,
-                    failure_model=failure_model,
-                    max_slowdown=job.max_slowdown,
-                )
-                campaign = self._executor.run(
-                    simulator.simulate_once,
-                    runs=job.simulation_runs,
-                    seed=job.seed,
-                )
-                tables[name] = campaign.table
-        return tables
+        return {
+            name: run_campaign(
+                name,
+                parameters,
+                workload,
+                runs=job.simulation_runs,
+                seed=job.seed,
+                backend=job.backend,
+                max_slowdown=job.max_slowdown,
+                failure_model=failure_model,
+                law=job.failure_model,
+                executor=self._executor,
+                vector_executor=self._vector_executor,
+            )
+            for name in job.protocols
+        }

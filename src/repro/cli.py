@@ -735,7 +735,7 @@ def _run_scenario_list(*, as_json: bool = False) -> int:
     for name in protocol_names():
         entry = resolve_protocol(name)
         aliases = f" (aliases: {', '.join(entry.aliases)})" if entry.aliases else ""
-        backends = "event+vectorized" if entry.has_vectorized else "event"
+        backends = "event+vectorized" if entry.has_schedule else "event"
         storage = "any registered stack" if entry.storage else "none"
         print(f"  {name}{aliases} [backends: {backends}; storage: {storage}]")
     print("registered storage stacks (scenario 'storage.kind'):")
@@ -757,7 +757,7 @@ def _run_scenario_list(*, as_json: bool = False) -> int:
     laws = ", ".join(vectorized_law_names())
     print(f"engine backends (scenario 'simulation.backend'): {', '.join(ENGINE_BACKENDS)}")
     print(
-        f"  backend='vectorized' needs a protocol with a vectorized engine "
+        f"  backend='vectorized' needs a protocol with a schedule compiler "
         f"({vectorized}) and a vectorized failure law ({laws}); "
         "'auto' falls back to 'event' elsewhere"
     )
@@ -1192,12 +1192,10 @@ def _dispatch(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
-    from repro.simulation.vectorized import reset_backend_fallback_notes
-
     # Stderr notes dedupe through module state; a fresh CLI invocation is a
     # fresh run, so clear it (repeated in-process calls -- tests, the
     # service -- must not silently swallow later notes).
-    reset_backend_fallback_notes()
+    _obs.reset_log_notes()
     parser = build_parser()
     args = parser.parse_args(argv)
     trace_out = getattr(args, "trace_out", None)

@@ -20,22 +20,18 @@ into account, accurately reproducing the corresponding costs"*).
 from repro.core.protocols.base import ProtocolSimulator, SimulationHorizonExceeded
 from repro.core.protocols.no_ft import (
     NoFaultToleranceSimulator,
-    NoFaultToleranceVectorized,
     compile_no_ft_schedule,
 )
 from repro.core.protocols.pure_periodic import (
     PurePeriodicCkptSimulator,
-    PurePeriodicCkptVectorized,
     compile_pure_periodic_schedule,
 )
 from repro.core.protocols.bi_periodic import (
     BiPeriodicCkptSimulator,
-    BiPeriodicCkptVectorized,
     compile_bi_periodic_schedule,
 )
 from repro.core.protocols.abft_periodic import (
     AbftPeriodicCkptSimulator,
-    AbftPeriodicCkptVectorized,
     compile_abft_periodic_schedule,
 )
 
@@ -43,13 +39,9 @@ __all__ = [
     "ProtocolSimulator",
     "SimulationHorizonExceeded",
     "NoFaultToleranceSimulator",
-    "NoFaultToleranceVectorized",
     "PurePeriodicCkptSimulator",
-    "PurePeriodicCkptVectorized",
     "BiPeriodicCkptSimulator",
-    "BiPeriodicCkptVectorized",
     "AbftPeriodicCkptSimulator",
-    "AbftPeriodicCkptVectorized",
     "compile_no_ft_schedule",
     "compile_pure_periodic_schedule",
     "compile_bi_periodic_schedule",

@@ -57,14 +57,9 @@ from repro.simulation.schedule import (
     Schedule,
     periodic_chunk_size,
 )
-from repro.simulation.vectorized import (
-    VectorizedPhasedSimulator,
-    vectorized_failure_model_or_raise,
-)
 
 __all__ = [
     "AbftPeriodicCkptSimulator",
-    "AbftPeriodicCkptVectorized",
     "compile_abft_periodic_schedule",
 ]
 
@@ -313,54 +308,3 @@ class AbftPeriodicCkptSimulator(ProtocolSimulator):
             safeguard=self._safeguard,
             period_formula=self._period_formula,
         )
-
-
-@register_protocol("ABFT&PeriodicCkpt", kind="vectorized")
-class AbftPeriodicCkptVectorized:
-    """Across-trials engine for the composite protocol, any vectorized law.
-
-    Executes the same compiled schedule as
-    :class:`AbftPeriodicCkptSimulator` through the phased engine.  Accepts
-    the same knobs (including the Section III-B safeguard) and reproduces
-    the event backend bit for bit, trial for trial, under every
-    registry-flagged vectorized law (exponential, Weibull, log-normal,
-    trace replay).
-    """
-
-    name = "ABFT&PeriodicCkpt"
-
-    def __init__(
-        self,
-        parameters: ResilienceParameters,
-        workload: ApplicationWorkload,
-        *,
-        general_period: Optional[float] = None,
-        safeguard: bool = False,
-        period_formula: str = "paper",
-        failure_model: Optional[FailureModel] = None,
-        max_slowdown: float = 1e4,
-    ) -> None:
-        total = workload.total_time
-        self._engine = VectorizedPhasedSimulator(
-            protocol=self.name,
-            application_time=total,
-            segments=compile_abft_periodic_schedule(
-                parameters,
-                workload,
-                general_period=general_period,
-                safeguard=safeguard,
-                period_formula=period_formula,
-            ),
-            failure_model=vectorized_failure_model_or_raise(
-                failure_model, parameters.platform_mtbf, protocol=self.name
-            ),
-            max_makespan=float(max_slowdown) * total,
-        )
-
-    def run_trials(self, runs: int, seed: Optional[int] = None):
-        """Simulate ``runs`` trials; see :class:`VectorizedPhasedSimulator`."""
-        return self._engine.run_trials(runs, seed)
-
-    def run_trial_range(self, start: int, stop: int, seed: Optional[int] = None):
-        """Simulate trials ``[start, stop)`` of a campaign (shard execution)."""
-        return self._engine.run_trial_range(start, stop, seed)

@@ -39,14 +39,9 @@ from repro.simulation.schedule import (
     Schedule,
     periodic_chunk_size,
 )
-from repro.simulation.vectorized import (
-    VectorizedPhasedSimulator,
-    vectorized_failure_model_or_raise,
-)
 
 __all__ = [
     "BiPeriodicCkptSimulator",
-    "BiPeriodicCkptVectorized",
     "compile_bi_periodic_schedule",
 ]
 
@@ -227,52 +222,3 @@ class BiPeriodicCkptSimulator(ProtocolSimulator):
             library_period=self._library_period,
             period_formula=self._period_formula,
         )
-
-
-@register_protocol("BiPeriodicCkpt", kind="vectorized")
-class BiPeriodicCkptVectorized:
-    """Across-trials engine for BiPeriodicCkpt, any vectorized law.
-
-    Executes the same compiled schedule as :class:`BiPeriodicCkptSimulator`
-    through the phased engine.  Accepts the same knobs and reproduces the
-    event backend bit for bit, trial for trial, under every registry-flagged
-    vectorized law (exponential, Weibull, log-normal, trace replay).
-    """
-
-    name = "BiPeriodicCkpt"
-
-    def __init__(
-        self,
-        parameters: ResilienceParameters,
-        workload: ApplicationWorkload,
-        *,
-        general_period: Optional[float] = None,
-        library_period: Optional[float] = None,
-        period_formula: str = "paper",
-        failure_model: Optional[FailureModel] = None,
-        max_slowdown: float = 1e4,
-    ) -> None:
-        total = workload.total_time
-        self._engine = VectorizedPhasedSimulator(
-            protocol=self.name,
-            application_time=total,
-            segments=compile_bi_periodic_schedule(
-                parameters,
-                workload,
-                general_period=general_period,
-                library_period=library_period,
-                period_formula=period_formula,
-            ),
-            failure_model=vectorized_failure_model_or_raise(
-                failure_model, parameters.platform_mtbf, protocol=self.name
-            ),
-            max_makespan=float(max_slowdown) * total,
-        )
-
-    def run_trials(self, runs: int, seed: Optional[int] = None):
-        """Simulate ``runs`` trials; see :class:`VectorizedPhasedSimulator`."""
-        return self._engine.run_trials(runs, seed)
-
-    def run_trial_range(self, start: int, stop: int, seed: Optional[int] = None):
-        """Simulate trials ``[start, stop)`` of a campaign (shard execution)."""
-        return self._engine.run_trial_range(start, stop, seed)

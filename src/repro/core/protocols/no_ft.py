@@ -13,22 +13,14 @@ Monte-Carlo backends execute that one compiled description.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.application.workload import ApplicationWorkload
 from repro.core.parameters import ResilienceParameters
 from repro.core.protocols.base import ProtocolSimulator
 from repro.core.registry import register_protocol
-from repro.failures.base import FailureModel
 from repro.simulation.schedule import PeriodicSegment, Schedule
-from repro.simulation.vectorized import (
-    VectorizedPhasedSimulator,
-    vectorized_failure_model_or_raise,
-)
 
 __all__ = [
     "NoFaultToleranceSimulator",
-    "NoFaultToleranceVectorized",
     "compile_no_ft_schedule",
 ]
 
@@ -71,43 +63,3 @@ class NoFaultToleranceSimulator(ProtocolSimulator):
 
     def compile_schedule(self) -> Schedule:
         return compile_no_ft_schedule(self._params, self._workload)
-
-
-@register_protocol("NoFT", kind="vectorized", paper=False, storage=False)
-class NoFaultToleranceVectorized:
-    """Across-trials engine for NoFT under any vectorized failure law.
-
-    Executes the same compiled schedule as :class:`NoFaultToleranceSimulator`
-    through the phased engine; bit-identical trial for trial for every
-    registry-flagged vectorized law (exponential, Weibull, log-normal,
-    trace replay).
-    """
-
-    name = "NoFT"
-
-    def __init__(
-        self,
-        parameters: ResilienceParameters,
-        workload: ApplicationWorkload,
-        *,
-        failure_model: Optional[FailureModel] = None,
-        max_slowdown: float = 1e4,
-    ) -> None:
-        total = workload.total_time
-        self._engine = VectorizedPhasedSimulator(
-            protocol=self.name,
-            application_time=total,
-            segments=compile_no_ft_schedule(parameters, workload),
-            failure_model=vectorized_failure_model_or_raise(
-                failure_model, parameters.platform_mtbf, protocol=self.name
-            ),
-            max_makespan=float(max_slowdown) * total,
-        )
-
-    def run_trials(self, runs: int, seed: Optional[int] = None):
-        """Simulate ``runs`` trials; see :class:`VectorizedPhasedSimulator`."""
-        return self._engine.run_trials(runs, seed)
-
-    def run_trial_range(self, start: int, stop: int, seed: Optional[int] = None):
-        """Simulate trials ``[start, stop)`` of a campaign (shard execution)."""
-        return self._engine.run_trial_range(start, stop, seed)

@@ -24,14 +24,9 @@ from repro.simulation.schedule import (
     Schedule,
     periodic_chunk_size,
 )
-from repro.simulation.vectorized import (
-    VectorizedPhasedSimulator,
-    vectorized_failure_model_or_raise,
-)
 
 __all__ = [
     "PurePeriodicCkptSimulator",
-    "PurePeriodicCkptVectorized",
     "compile_pure_periodic_schedule",
 ]
 
@@ -144,48 +139,3 @@ class PurePeriodicCkptSimulator(ProtocolSimulator):
             period=self._explicit_period,
             period_formula=self._period_formula,
         )
-
-
-@register_protocol("PurePeriodicCkpt", kind="vectorized")
-class PurePeriodicCkptVectorized:
-    """Across-trials engine for PurePeriodicCkpt, any vectorized law.
-
-    Accepts the same protocol knobs as :class:`PurePeriodicCkptSimulator`
-    (explicit period or optimal-period formula), compiles the same schedule
-    and produces bit-identical per-trial results through the phased engine,
-    under every registry-flagged vectorized law (exponential, Weibull,
-    log-normal, trace replay).
-    """
-
-    name = "PurePeriodicCkpt"
-
-    def __init__(
-        self,
-        parameters: ResilienceParameters,
-        workload: ApplicationWorkload,
-        *,
-        period: Optional[float] = None,
-        period_formula: str = "paper",
-        failure_model: Optional[FailureModel] = None,
-        max_slowdown: float = 1e4,
-    ) -> None:
-        total = workload.total_time
-        self._engine = VectorizedPhasedSimulator(
-            protocol=self.name,
-            application_time=total,
-            segments=compile_pure_periodic_schedule(
-                parameters, workload, period=period, period_formula=period_formula
-            ),
-            failure_model=vectorized_failure_model_or_raise(
-                failure_model, parameters.platform_mtbf, protocol=self.name
-            ),
-            max_makespan=float(max_slowdown) * total,
-        )
-
-    def run_trials(self, runs: int, seed: Optional[int] = None):
-        """Simulate ``runs`` trials; see :class:`VectorizedPhasedSimulator`."""
-        return self._engine.run_trials(runs, seed)
-
-    def run_trial_range(self, start: int, stop: int, seed: Optional[int] = None):
-        """Simulate trials ``[start, stop)`` of a campaign (shard execution)."""
-        return self._engine.run_trial_range(start, stop, seed)

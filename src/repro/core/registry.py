@@ -23,6 +23,7 @@ written against it keeps working unchanged; new code should prefer
 from __future__ import annotations
 
 import difflib
+import functools
 import inspect
 from dataclasses import dataclass
 from typing import (
@@ -133,22 +134,21 @@ class UnknownStorageError(KeyError, ValueError):
 # ---------------------------------------------------------------------- #
 @dataclass
 class ProtocolEntry:
-    """One registered protocol: its analytical model and simulator classes.
+    """One registered protocol: its analytical model, simulator and schedule.
 
-    Either class may be missing while registration is in flight (the model
-    and simulator live in different modules); :func:`resolve_protocol` only
-    returns complete entries.
+    A protocol is three registrations under one name: the analytical model
+    (``kind="model"``), the event simulator (``kind="simulator"``) and the
+    segment-schedule compiler (``kind="schedule"``).  The across-trials
+    engine is not registered separately -- :attr:`vectorized_cls` derives it
+    from the schedule compiler.  Any part may be missing while registration
+    is in flight (the parts live in different modules);
+    :func:`protocol_names` only lists entries with a model and a simulator.
     """
 
     name: str
     aliases: Tuple[str, ...] = ()
     model_cls: Optional[type] = None
     simulator_cls: Optional[type] = None
-    #: Optional across-trials engine adapter (``backend="vectorized"``): a
-    #: class constructed as ``vectorized_cls(parameters, workload, ...)``
-    #: exposing ``run_trials(runs, seed) -> TrialTable``, bit-identical to
-    #: the event simulator.  ``None`` means only the event backend exists.
-    vectorized_cls: Optional[type] = None
     #: Optional schedule compiler (``register_protocol(name,
     #: kind="schedule")``): a function ``schedule_fn(parameters, workload,
     #: **knobs) -> Schedule`` producing the segment IR both Monte-Carlo
@@ -169,14 +169,31 @@ class ProtocolEntry:
     storage: bool = True
 
     @property
-    def has_vectorized(self) -> bool:
-        """Whether a vectorized across-trials engine is registered."""
-        return self.vectorized_cls is not None
+    def has_schedule(self) -> bool:
+        """Whether a segment-IR schedule compiler is registered.
+
+        Exactly the protocols with a schedule run on the vectorized
+        backend (for the laws it supports).
+        """
+        return self.schedule_fn is not None
 
     @property
-    def has_schedule(self) -> bool:
-        """Whether a segment-IR schedule compiler is registered."""
-        return self.schedule_fn is not None
+    def vectorized_cls(self) -> Optional[Callable[..., Any]]:
+        """The across-trials engine factory, derived from :attr:`schedule_fn`.
+
+        ``None`` when no schedule compiler is registered.  Otherwise a
+        callable ``(parameters, workload, *, failure_model=None,
+        max_slowdown=1e4, **knobs) -> VectorizedPhasedSimulator``: it
+        compiles ``schedule_fn(parameters, workload, **knobs)`` and hands
+        the schedule to the phased engine, whose ``run_trials`` /
+        ``run_trial_range`` reproduce the event simulator bit for bit.
+        ``failure_model=None`` is the exponential law at the platform MTBF;
+        a law without vectorized block sampling raises
+        :class:`~repro.simulation.vectorized.VectorizedBackendError`.
+        """
+        if self.schedule_fn is None:
+            return None
+        return functools.partial(_vectorized_engine, self.name, self.schedule_fn)
 
     @property
     def period_parameters(self) -> Tuple[str, ...]:
@@ -319,24 +336,26 @@ def register_protocol(
     tunable: Optional[Tuple[str, ...]] = None,
     storage: bool = True,
 ) -> Callable[[T], T]:
-    """Class decorator registering an analytical model or a simulator.
+    """Decorator registering one part of a protocol.
+
+    A protocol is its model, its simulator and its schedule compiler,
+    registered under one name.  Nothing else is needed for every backend:
+    the vectorized engine is derived from the schedule compiler (see
+    :attr:`ProtocolEntry.vectorized_cls`).
 
     Parameters
     ----------
     name:
-        Canonical protocol name (the paper's spelling).  The model and the
-        simulator of one protocol register under the same name and are
-        paired by it.
+        Canonical protocol name (the paper's spelling).  The parts of one
+        protocol register under the same name and are paired by it.
     kind:
         ``"model"`` for :class:`~repro.core.analytical.base.AnalyticalModel`
         subclasses, ``"simulator"`` for
         :class:`~repro.core.protocols.base.ProtocolSimulator` subclasses,
-        ``"vectorized"`` for across-trials engine adapters exposing
-        ``run_trials(runs, seed)``, ``"schedule"`` for segment-IR compiler
-        functions ``(parameters, workload, **knobs) ->
-        `` :class:`~repro.simulation.schedule.Schedule`.
+        ``"schedule"`` for segment-IR compiler functions ``(parameters,
+        workload, **knobs) ->`` :class:`~repro.simulation.schedule.Schedule`.
     aliases:
-        Alternative lookup names (case-insensitive, shared by both halves).
+        Alternative lookup names (case-insensitive, shared by all parts).
     paper:
         Whether the protocol belongs to the paper's headline comparison and
         therefore appears in the ``PROTOCOL_PAIRS`` compatibility view.
@@ -356,10 +375,9 @@ def register_protocol(
     ... class MyCkptModel:  # doctest: +SKIP
     ...     ...
     """
-    if kind not in ("model", "simulator", "vectorized", "schedule"):
+    if kind not in ("model", "simulator", "schedule"):
         raise ValueError(
-            "kind must be 'model', 'simulator', 'vectorized' or 'schedule', "
-            f"got {kind!r}"
+            f"kind must be 'model', 'simulator' or 'schedule', got {kind!r}"
         )
 
     def decorator(cls: T) -> T:
@@ -377,8 +395,6 @@ def register_protocol(
             entry.model_cls = cls
         elif kind == "simulator":
             entry.simulator_cls = cls
-        elif kind == "vectorized":
-            entry.vectorized_cls = cls
         else:
             entry.schedule_fn = cls
         _register_lookup(_PROTOCOL_LOOKUP, name, entry.aliases, "protocol")
@@ -476,11 +492,12 @@ def protocol_names(*, paper_only: bool = False) -> Tuple[str, ...]:
 
 
 def vectorized_protocol_names() -> Tuple[str, ...]:
-    """Canonical names of protocols with a vectorized engine registered."""
+    """Canonical names of protocols the vectorized engine can run.
+
+    These are the protocols with a registered schedule compiler.
+    """
     _ensure_builtins()
-    return tuple(
-        entry.name for entry in _PROTOCOLS.values() if entry.vectorized_cls is not None
-    )
+    return tuple(entry.name for entry in _PROTOCOLS.values() if entry.has_schedule)
 
 
 def failure_model_names() -> Tuple[str, ...]:
@@ -585,7 +602,7 @@ def registry_catalog() -> Dict[str, Any]:
                 "aliases": list(entry.aliases),
                 "paper": bool(entry.paper),
                 "backends": (
-                    ["event", "vectorized"] if entry.has_vectorized else ["event"]
+                    ["event", "vectorized"] if entry.has_schedule else ["event"]
                 ),
                 "has_schedule": entry.has_schedule,
                 "period_parameters": list(entry.period_parameters),
@@ -663,6 +680,34 @@ def create_failure_model(
 ) -> Any:
     """Instantiate a registered failure model for a target MTBF."""
     return resolve_failure_model(name).create(mtbf, **params)
+
+
+def _vectorized_engine(
+    protocol: str,
+    schedule_fn: Callable[..., Any],
+    parameters: Any,
+    workload: Any,
+    *,
+    failure_model: Any = None,
+    max_slowdown: float = 1e4,
+    **knobs: Any,
+) -> Any:
+    """Build the across-trials engine of a protocol (see ``vectorized_cls``)."""
+    from repro.simulation.vectorized import (
+        VectorizedPhasedSimulator,
+        vectorized_failure_model_or_raise,
+    )
+
+    total = workload.total_time
+    return VectorizedPhasedSimulator(
+        protocol=protocol,
+        application_time=total,
+        segments=schedule_fn(parameters, workload, **knobs),
+        failure_model=vectorized_failure_model_or_raise(
+            failure_model, parameters.platform_mtbf, protocol=protocol
+        ),
+        max_makespan=float(max_slowdown) * total,
+    )
 
 
 class ResolvedProtocol(NamedTuple):

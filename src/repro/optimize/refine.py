@@ -32,22 +32,15 @@ from repro.campaign.cache import SweepCache
 from repro.campaign.executor import (
     ParallelMonteCarloExecutor,
     ShardedVectorizedExecutor,
+    run_campaign,
 )
 from repro.core.parameters import ResilienceParameters
 from repro.core.registry import (
     create_failure_model,
     resolve_failure_model,
     resolve_protocol,
-    vectorized_protocol_names,
 )
 from repro.optimize.period import PeriodOptimum, optimize_period
-from repro.simulation.vectorized import (
-    ENGINE_BACKENDS,
-    VectorizedBackendError,
-    note_backend_fallback,
-    supports_vectorized_backend,
-    vectorized_backend_obstacle,
-)
 
 #: The simulators' truncation-cap default; the candidate cache key includes
 #: ``max_slowdown`` only when it differs from this, so the literal must
@@ -185,22 +178,19 @@ def simulate_at_periods(
 ) -> Mapping[str, Any]:
     """Run one campaign at an explicit period assignment; return its summary.
 
-    Backend selection mirrors the sweep runner's: ``"vectorized"`` requires
-    the protocol's across-trials engine and a registry-flagged vectorized
-    law (else a :class:`VectorizedBackendError` names the obstacle),
-    ``"auto"`` falls back to the event simulators fanned over ``executor``.
-    Vectorized campaigns shard their trial range over ``vector_executor``
-    when one is given (serial otherwise) -- bit-identical either way.
+    Backend selection is :func:`repro.campaign.executor.run_campaign`'s:
+    ``"vectorized"`` requires a registered schedule compiler and a
+    registry-flagged vectorized law (else a
+    :class:`~repro.simulation.vectorized.VectorizedBackendError` names the
+    obstacle), ``"auto"`` falls back to the event simulators fanned over
+    ``executor``.  Vectorized campaigns shard their trial range over
+    ``vector_executor`` when one is given (serial otherwise) --
+    bit-identical either way.
 
     ``simulator_kwargs`` carries protocol options beyond the periods (e.g.
     the composite's ``safeguard``) into the engine constructors, following
     the :func:`repro.core.registry.resolve` model/simulator split.
     """
-    if backend not in ENGINE_BACKENDS:
-        raise ValueError(
-            f"unknown engine backend {backend!r}; expected one of {ENGINE_BACKENDS}"
-        )
-    entry = resolve_protocol(protocol)
     failure_params = dict(failure_params or {})
     law = resolve_failure_model(failure_model).name
     if law == "exponential" and not failure_params:
@@ -209,49 +199,20 @@ def simulate_at_periods(
         model = create_failure_model(
             law, parameters.platform_mtbf, **failure_params
         )
-    use_vectorized = backend in (
-        "vectorized",
-        "auto",
-    ) and supports_vectorized_backend(entry.vectorized_cls, model)
-    if backend in ("vectorized", "auto") and not use_vectorized:
-        detail = vectorized_backend_obstacle(
-            entry.vectorized_cls,
-            model,
-            protocol=entry.name,
-            law=law,
-            available=vectorized_protocol_names(),
-        )
-        if backend == "vectorized":
-            raise VectorizedBackendError(
-                f"backend='vectorized' cannot refine this configuration: "
-                f"{detail}; use backend='event' or backend='auto'"
-            )
-        note_backend_fallback(detail)
-    kwargs = {**dict(simulator_kwargs or {}), **dict(periods)}
-    if use_vectorized:
-        engine = entry.vectorized_cls(
-            parameters,
-            workload,
-            failure_model=model,
-            max_slowdown=max_slowdown,
-            **kwargs,
-        )
-        if vector_executor is not None:
-            table = vector_executor.run(engine, runs=runs, seed=seed)
-        else:
-            table = engine.run_trials(runs, seed=seed)
-    else:
-        simulator = entry.simulator_cls(
-            parameters,
-            workload,
-            failure_model=model,
-            max_slowdown=max_slowdown,
-            **kwargs,
-        )
-        campaign = (executor or ParallelMonteCarloExecutor(workers=1)).run(
-            simulator.simulate_once, runs=runs, seed=seed
-        )
-        table = campaign.table
+    table = run_campaign(
+        protocol,
+        parameters,
+        workload,
+        runs=runs,
+        seed=seed,
+        backend=backend,
+        max_slowdown=max_slowdown,
+        failure_model=model,
+        law=law,
+        knobs={**dict(simulator_kwargs or {}), **dict(periods)},
+        executor=executor,
+        vector_executor=vector_executor,
+    )
     return table.summary_dict()
 
 

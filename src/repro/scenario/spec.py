@@ -582,13 +582,12 @@ class ScenarioSpec:
         # Engine-backend compatibility is a spec-validity question: a
         # vectorized-only spec naming a protocol or failure law without
         # vectorized support should fail at load/validate time with the
-        # offending path, not mid-campaign.  Both support lists are derived
-        # from the registry, so this diagnostic widens with the engine.
-        from repro.core.registry import (
-            vectorized_law_names,
-            vectorized_protocol_names,
+        # offending path, not mid-campaign.  The rule and its wording are
+        # the campaign runner's own (vectorized_backend_obstacle).
+        from repro.simulation.vectorized import (
+            ENGINE_BACKENDS,
+            vectorized_backend_obstacle,
         )
-        from repro.simulation.vectorized import ENGINE_BACKENDS
 
         backend = self.simulation.backend
         if backend not in ENGINE_BACKENDS:
@@ -597,26 +596,13 @@ class ScenarioSpec:
                 f"expected one of {list(ENGINE_BACKENDS)}, got {backend!r}",
             )
         if backend == "vectorized":
-            unsupported = [
-                name
-                for name in self.canonical_protocols
-                if not resolve_protocol(name).has_vectorized
-            ]
-            if unsupported:
-                raise ScenarioSpecError(
-                    "simulation.backend",
-                    f"protocols {unsupported} have no vectorized engine "
-                    f"(available: {sorted(vectorized_protocol_names())}); "
-                    "use 'event' or 'auto'",
-                )
-            law = resolve_failure_model(self.failures.model).name
-            if law not in vectorized_law_names():
-                raise ScenarioSpecError(
-                    "simulation.backend",
-                    f"failure law {self.failures.model!r} has no vectorized "
-                    f"block sampling (vectorized laws: "
-                    f"{sorted(vectorized_law_names())}); use 'event' or 'auto'",
-                )
+            law = resolve_failure_model(self.failures.model)
+            for name in self.canonical_protocols:
+                obstacle = vectorized_backend_obstacle(name, law.name, law.cls)
+                if obstacle is not None:
+                    raise ScenarioSpecError(
+                        "simulation.backend", f"{obstacle}; use 'event' or 'auto'"
+                    )
         # Canonicalize the model-option keys and keep them sorted so specs
         # built from aliases compare (and serialize) identically.
         canonical_options = tuple(

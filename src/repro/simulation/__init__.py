@@ -6,13 +6,6 @@ re-implements it from scratch:
 
 * :mod:`repro.simulation.events` -- event records and event kinds (failure,
   checkpoint start/end, recovery, phase transitions, ...).
-* :mod:`repro.simulation.engine` -- a classical event-queue engine: a
-  priority queue of timestamped events, a simulation clock, handler dispatch
-  and stop conditions.  Generic enough to host arbitrary models; the
-  fault-tolerance protocol simulators use it through the thin
-  :class:`~repro.simulation.engine.SimulationEngine` API or drive their own
-  time directly against a :class:`~repro.failures.timeline.FailureTimeline`
-  for speed.
 * :mod:`repro.simulation.rng` -- reproducible, independent random streams
   (one per concern: failures, node attribution, workload jitter).
 * :mod:`repro.simulation.trace` -- execution trace recording and the
@@ -35,7 +28,6 @@ re-implements it from scratch:
 """
 
 from repro.simulation.events import Event, EventKind
-from repro.simulation.engine import SimulationEngine, SimulationError
 from repro.simulation.rng import RandomStreams
 from repro.simulation.table import TrialTable, TRIAL_DTYPE
 from repro.simulation.trace import (
@@ -59,15 +51,12 @@ from repro.simulation.schedule import (
 from repro.simulation.vectorized import (
     ENGINE_BACKENDS,
     VectorizedBackendError,
-    VectorizedChunkedSimulator,
     VectorizedPhasedSimulator,
 )
 
 __all__ = [
     "Event",
     "EventKind",
-    "SimulationEngine",
-    "SimulationError",
     "RandomStreams",
     "CATEGORIES",
     "ExecutionTrace",
@@ -89,6 +78,5 @@ __all__ = [
     "compile_schedule",
     "ENGINE_BACKENDS",
     "VectorizedBackendError",
-    "VectorizedChunkedSimulator",
     "VectorizedPhasedSimulator",
 ]

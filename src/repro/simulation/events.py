@@ -1,4 +1,4 @@
-"""Event records used by the simulation engine and the trace recorder."""
+"""Event records kept by the execution-trace recorder."""
 
 from __future__ import annotations
 
@@ -13,9 +13,8 @@ __all__ = ["EventKind", "Event"]
 class EventKind(enum.Enum):
     """Kinds of events occurring during a protected execution.
 
-    The protocol simulators emit these into the execution trace; the generic
-    engine treats them opaquely (any hashable kind works there) but using a
-    shared enum keeps traces comparable across protocols.
+    The protocol simulators emit these into the execution trace; a shared
+    enum keeps traces comparable across protocols.
     """
 
     #: A process/node failure strikes the platform.
@@ -62,13 +61,13 @@ class Event:
     time:
         Simulation time of the event, in seconds.
     kind:
-        The :class:`EventKind` (or any hashable tag for engine-level use).
+        The :class:`EventKind` (or any hashable tag).
     payload:
         Optional free-form mapping with event details (e.g. which node
         failed, how much work was lost).
     sequence:
-        Monotonic tie-breaker assigned at creation so that events with equal
-        timestamps keep their insertion order in the priority queue.
+        Monotonic creation counter, so events with equal timestamps keep
+        their recording order.
     """
 
     time: float
@@ -79,10 +78,6 @@ class Event:
     def __post_init__(self) -> None:
         if self.time < 0:
             raise ValueError(f"event time must be non-negative, got {self.time}")
-
-    def sort_key(self) -> tuple[float, int]:
-        """Key used by the engine's priority queue."""
-        return (self.time, self.sequence)
 
     def with_payload(self, **updates: Any) -> "Event":
         """Return a copy of the event with additional payload entries."""

@@ -1,4 +1,4 @@
-"""Vectorized across-trials Monte-Carlo engines.
+"""Vectorized across-trials Monte-Carlo engine.
 
 The event-driven simulators (:mod:`repro.core.protocols`) walk one trial at
 a time through a Python state machine.  Their walks are compositions of a
@@ -6,22 +6,18 @@ small set of deterministic building blocks -- periodically checkpointed
 sections, atomic (unprotected or checkpoint-only) segments, ABFT-protected
 stretches and restartable recovery sequences -- scheduled in an order that
 depends only on the configuration, never on the failure draws.  That makes
-them batchable: the engines in this module keep one NumPy state vector per
-quantity (clock, progress, failure cursor, segment index, mode) and advance
-**all trials simultaneously**, one state-machine step per round.
-
-Two engines are provided:
-
-* :class:`VectorizedChunkedSimulator` -- a single periodically checkpointed
-  section (``NoFT``, ``PurePeriodicCkpt``);
-* :class:`VectorizedPhasedSimulator` -- an arbitrary deterministic sequence
-  of periodic / atomic / ABFT segments (``BiPeriodicCkpt``,
-  ``ABFT&PeriodicCkpt``), of which the chunked engine is the one-segment
-  special case.
+them batchable: :class:`VectorizedPhasedSimulator` keeps one NumPy state
+vector per quantity (clock, progress, failure cursor, segment index, mode)
+and advances **all trials simultaneously**, one state-machine step per round,
+through any compiled :class:`~repro.simulation.schedule.Schedule` of
+periodic / atomic / ABFT segments.  Every protocol with a registered
+schedule compiler gets this engine without further code:
+:attr:`repro.core.registry.ProtocolEntry.vectorized_cls` compiles the
+schedule and builds the engine.
 
 Bit-identical contract
 ----------------------
-The engines are not approximations: for a given root seed they reproduce
+The engine is not an approximation: for a given root seed it reproduces
 the event backend **trial for trial, bit for bit** -- same makespan, waste,
 failure count and per-category waste breakdown.  Two properties make this
 possible:
@@ -91,19 +87,15 @@ from repro.simulation.trace import CATEGORIES
 __all__ = [
     "ENGINE_BACKENDS",
     "VectorizedBackendError",
-    "VectorizedChunkedSimulator",
     "VectorizedPhasedSimulator",
     "PeriodicSegment",
     "AtomicSegment",
     "AbftSegment",
     "Segment",
     "periodic_chunk_size",
-    "exponential_mtbf_or_raise",
     "vectorized_failure_model_or_raise",
-    "supports_vectorized_backend",
     "vectorized_backend_obstacle",
     "note_backend_fallback",
-    "reset_backend_fallback_notes",
 ]
 
 #: Monte-Carlo engine backends selectable in the campaign/scenario layers.
@@ -122,60 +114,46 @@ class VectorizedBackendError(ValueError):
     """
 
 
-def supports_vectorized_backend(
-    vectorized_cls: Optional[type], failure_model: Optional[FailureModel]
-) -> bool:
-    """Whether the across-trials engine can run this configuration.
-
-    The single source of the eligibility rule every backend-selecting layer
-    (sweep runner, period refinement, regime maps) consults: a registered
-    vectorized engine class, and a failure law whose block sampling the
-    engine can replay -- ``None`` (the simulators' exponential default) or
-    an *exact* instance of a law registered with
-    ``register_failure_model(vectorized=True)`` (subclasses override the
-    sampling the engine could not honour).
-    """
-    if vectorized_cls is None:
-        return False
-    if failure_model is None:
-        return True
-    from repro.core.registry import vectorized_law_classes
-
-    return type(failure_model) in vectorized_law_classes()
-
-
 def vectorized_backend_obstacle(
-    vectorized_cls: Optional[type],
-    failure_model: Optional[FailureModel],
-    *,
-    protocol: str,
-    law: str,
-    available: Sequence[str] = (),
+    protocol: str, law: str = "exponential", law_cls: Optional[type] = None
 ) -> Optional[str]:
-    """Why the across-trials engine cannot run this configuration.
+    """Why the across-trials engine cannot run ``protocol`` under ``law``.
 
-    ``None`` when it can (the :func:`supports_vectorized_backend` rule
-    holds); otherwise a human-readable detail naming the obstacle, shared
-    by every layer that raises :class:`VectorizedBackendError` so the
-    diagnostics cannot drift apart.  The supported-law list is derived from
-    the failure-model registry, not hard-coded.
+    The one eligibility rule every backend-selecting layer consults (the
+    campaign runner behind sweeps, refinement, regime maps and the service,
+    and :class:`~repro.scenario.spec.ScenarioSpec` validation): the
+    protocol has a registered schedule compiler, and the failure law's
+    class ``law_cls`` is an *exact* class registered with
+    ``register_failure_model(vectorized=True)`` (subclasses may override
+    the sampling the engine could not honour).  ``law_cls=None`` is the
+    simulators' default exponential law.
+
+    Returns ``None`` when the engine can run the configuration, else a
+    human-readable detail naming the obstacle.  Both supported lists are
+    derived from the registry, not hard-coded.
     """
-    if vectorized_cls is None:
-        return (
-            f"protocol {protocol!r} has no vectorized engine "
-            f"(available: {sorted(available)})"
-        )
-    if not supports_vectorized_backend(vectorized_cls, failure_model):
-        from repro.core.registry import vectorized_law_names
+    from repro.core.registry import resolve_protocol, vectorized_protocol_names
 
-        detail = f"failure law {law!r}"
-        if failure_model is not None:
-            detail += f" ({type(failure_model).__name__})"
+    entry = resolve_protocol(protocol)
+    if not entry.has_schedule:
         return (
-            f"{detail} has no vectorized block sampling "
-            f"(vectorized laws: {sorted(vectorized_law_names())})"
+            f"protocol {entry.name!r} has no vectorized engine (no schedule "
+            f"compiler registered; available: {sorted(vectorized_protocol_names())})"
         )
-    return None
+    return _law_obstacle(law, law_cls)
+
+
+def _law_obstacle(law: Optional[str], law_cls: Optional[type]) -> Optional[str]:
+    """The failure-law half of :func:`vectorized_backend_obstacle`."""
+    from repro.core.registry import vectorized_law_classes, vectorized_law_names
+
+    if law_cls is None or law_cls in vectorized_law_classes():
+        return None
+    name = f"{law!r} ({law_cls.__name__})" if law else law_cls.__name__
+    return (
+        f"failure law {name} has no vectorized block sampling "
+        f"(vectorized laws: {sorted(vectorized_law_names())})"
+    )
 
 
 def note_backend_fallback(detail: Optional[str]) -> None:
@@ -201,43 +179,6 @@ def note_backend_fallback(detail: Optional[str]) -> None:
     )
 
 
-def reset_backend_fallback_notes() -> None:
-    """Forget reported notes so the next run may report them again.
-
-    Delegates to :func:`repro.obs.reset_log_notes` -- the backend-fallback
-    notes share the structured logger's dedupe set with every other
-    deduplicated diagnostic, and ``repro.cli.main`` clears them all at
-    once on entry.
-    """
-    _obs.reset_log_notes()
-
-
-def exponential_mtbf_or_raise(
-    failure_model: Optional[FailureModel], default_mtbf: float, *, protocol: str
-) -> float:
-    """The MTBF to vectorize at, enforcing the exponential-law restriction.
-
-    Historical helper of the exponential-only engine, kept for callers that
-    genuinely need a scalar MTBF.  ``None`` (the simulators' default) means
-    the paper's exponential law at the platform MTBF; an explicit
-    :class:`ExponentialFailureModel` is also accepted.  Anything else --
-    including *subclasses* of the exponential model, whose overridden
-    sampling the engine could not honour -- raises
-    :class:`VectorizedBackendError`.  New code should prefer
-    :func:`vectorized_failure_model_or_raise`, which accepts every
-    registry-flagged vectorizable law.
-    """
-    if failure_model is None:
-        return float(default_mtbf)
-    if type(failure_model) is ExponentialFailureModel:
-        return float(failure_model.mtbf)
-    raise VectorizedBackendError(
-        f"the vectorized backend for {protocol!r} supports only the "
-        f"exponential failure law, got {type(failure_model).__name__}; "
-        "use backend='event' for non-exponential laws"
-    )
-
-
 def vectorized_failure_model_or_raise(
     failure_model: Optional[FailureModel],
     default_mtbf: float,
@@ -257,16 +198,12 @@ def vectorized_failure_model_or_raise(
     """
     if failure_model is None:
         return ExponentialFailureModel(float(default_mtbf))
-    from repro.core.registry import vectorized_law_classes, vectorized_law_names
-
-    if type(failure_model) in vectorized_law_classes():
-        return failure_model
-    raise VectorizedBackendError(
-        f"the vectorized backend for {protocol!r} has no batched sampling "
-        f"for {type(failure_model).__name__} (vectorized laws: "
-        f"{sorted(vectorized_law_names())}, exact classes only); "
-        "use backend='event' for this law"
-    )
+    obstacle = _law_obstacle(None, type(failure_model))
+    if obstacle is not None:
+        raise VectorizedBackendError(
+            f"protocol {protocol!r}: {obstacle}; use backend='event' for this law"
+        )
+    return failure_model
 
 
 # --------------------------------------------------------------------- #
@@ -302,8 +239,9 @@ class VectorizedPhasedSimulator:
     failure_model:
         The inter-arrival law driving the failure streams.  Bit-identity
         requires a model whose ``sample_interarrivals`` is a pure function
-        of the generator; the protocol adapters enforce the registry's
-        vectorized-law rule via :func:`vectorized_failure_model_or_raise`.
+        of the generator; ``ProtocolEntry.vectorized_cls`` enforces the
+        registry's vectorized-law rule via
+        :func:`vectorized_failure_model_or_raise`.
     max_makespan:
         Truncation cap, strictly greater than ``application_time`` (i.e.
         ``max_slowdown * T0`` with ``max_slowdown > 1``): trials whose clock
@@ -989,96 +927,3 @@ class VectorizedPhasedSimulator:
                     for phase, seconds in phase_seconds.items()
                 }
             )
-
-
-class VectorizedChunkedSimulator:
-    """Across-trials engine for chunked periodic protocols.
-
-    The one-segment special case of :class:`VectorizedPhasedSimulator`,
-    modelling exactly one :class:`PeriodicSegment` (``NoFT`` is the
-    degenerate case ``chunk_size >= work`` with no checkpoint and a
-    downtime-only restart).  Kept as the stable construction surface of the
-    ``NoFT`` / ``PurePeriodicCkpt`` adapters.
-
-    Parameters
-    ----------
-    protocol:
-        Protocol name stamped on the resulting :class:`TrialTable`.
-    application_time:
-        Fault-free duration ``T0`` (the waste baseline), seconds.
-    work:
-        Total work to execute, seconds (equals ``T0`` for these protocols).
-    chunk_size:
-        Seconds of work per chunk (clamped to the remaining work).
-    checkpoint_cost:
-        Checkpoint write cost ``C`` appended to every checkpointed chunk.
-    restart_stages:
-        Ordered ``(category, duration)`` pairs paid after each failure.
-    mtbf:
-        Exponential MTBF driving the failure streams; mutually exclusive
-        with ``failure_model``.
-    failure_model:
-        Any vectorizable failure model instance (see
-        :func:`vectorized_failure_model_or_raise`); overrides ``mtbf``.
-    max_makespan:
-        Truncation cap, strictly greater than ``application_time``.
-    trailing_checkpoint:
-        Whether the final chunk is followed by a checkpoint.
-    batch_size:
-        Failure-stream block size (see :class:`VectorizedPhasedSimulator`).
-    """
-
-    def __init__(
-        self,
-        *,
-        protocol: str,
-        application_time: float,
-        work: float,
-        chunk_size: float,
-        checkpoint_cost: float,
-        restart_stages: RestartStages,
-        mtbf: Optional[float] = None,
-        failure_model: Optional[FailureModel] = None,
-        max_makespan: float,
-        trailing_checkpoint: bool = False,
-        batch_size: int = DEFAULT_BATCH_SIZE,
-    ) -> None:
-        if work <= 0:
-            raise ValueError(f"work must be > 0, got {work}")
-        if failure_model is None:
-            if mtbf is None:
-                raise ValueError("one of mtbf or failure_model is required")
-            if float(mtbf) <= 0:
-                raise ValueError(f"mtbf must be > 0, got {mtbf}")
-            failure_model = ExponentialFailureModel(float(mtbf))
-        self._engine = VectorizedPhasedSimulator(
-            protocol=protocol,
-            application_time=application_time,
-            segments=(
-                PeriodicSegment(
-                    work=float(work),
-                    chunk_size=float(chunk_size),
-                    checkpoint_cost=float(checkpoint_cost),
-                    trailing=bool(trailing_checkpoint),
-                    stages=tuple(restart_stages),
-                ),
-            ),
-            failure_model=failure_model,
-            max_makespan=max_makespan,
-            batch_size=batch_size,
-        )
-
-    @property
-    def protocol(self) -> str:
-        """Protocol name stamped on result tables."""
-        return self._engine.protocol
-
-    def run_trials(self, runs: int, seed: Optional[int] = None) -> TrialTable:
-        """Simulate ``runs`` trials; see :class:`VectorizedPhasedSimulator`."""
-        return self._engine.run_trials(runs, seed)
-
-    def run_trial_range(
-        self, start: int, stop: int, seed: Optional[int] = None
-    ) -> TrialTable:
-        """Simulate trials ``[start, stop)`` of a campaign (shard execution)."""
-        return self._engine.run_trial_range(start, stop, seed)

@@ -26,21 +26,22 @@ from repro.checkpointing import (
 )
 from repro.core.protocols import (
     AbftPeriodicCkptSimulator,
-    AbftPeriodicCkptVectorized,
     BiPeriodicCkptSimulator,
-    BiPeriodicCkptVectorized,
     PurePeriodicCkptSimulator,
-    PurePeriodicCkptVectorized,
 )
+from repro.core.registry import resolve_protocol
 from repro.failures import ExponentialFailureModel, WeibullFailureModel
 from repro.simulation.rng import RandomStreams
 from repro.simulation.trace import CATEGORIES
 from repro.utils import GB, HOUR, MINUTE, TB
 
 PAIRS = {
-    "PurePeriodicCkpt": (PurePeriodicCkptSimulator, PurePeriodicCkptVectorized),
-    "BiPeriodicCkpt": (BiPeriodicCkptSimulator, BiPeriodicCkptVectorized),
-    "ABFT&PeriodicCkpt": (AbftPeriodicCkptSimulator, AbftPeriodicCkptVectorized),
+    name: (simulator, resolve_protocol(name).vectorized_cls)
+    for name, simulator in (
+        ("PurePeriodicCkpt", PurePeriodicCkptSimulator),
+        ("BiPeriodicCkpt", BiPeriodicCkptSimulator),
+        ("ABFT&PeriodicCkpt", AbftPeriodicCkptSimulator),
+    )
 }
 
 LAW_MODELS = {
@@ -207,7 +208,7 @@ def test_storage_stack_process_pool_bit_identity(stack_name):
     mtbf = 45 * MINUTE
     parameters = _storage_parameters(stack_name, mtbf)
     workload = ApplicationWorkload.single_epoch(2 * HOUR, 0.8, library_fraction=0.8)
-    engine = PurePeriodicCkptVectorized(
+    engine = PAIRS["PurePeriodicCkpt"][1](
         parameters,
         workload,
         failure_model=ExponentialFailureModel(mtbf),

@@ -18,14 +18,11 @@ from repro import ApplicationWorkload, ResilienceParameters
 from repro.campaign.executor import ShardedVectorizedExecutor
 from repro.core.protocols import (
     AbftPeriodicCkptSimulator,
-    AbftPeriodicCkptVectorized,
     BiPeriodicCkptSimulator,
-    BiPeriodicCkptVectorized,
     NoFaultToleranceSimulator,
-    NoFaultToleranceVectorized,
     PurePeriodicCkptSimulator,
-    PurePeriodicCkptVectorized,
 )
+from repro.core.registry import resolve_protocol
 from repro.failures import (
     ExponentialFailureModel,
     LogNormalFailureModel,
@@ -37,10 +34,13 @@ from repro.simulation.trace import CATEGORIES
 from repro.utils import HOUR, MINUTE
 
 PAIRS = {
-    "NoFT": (NoFaultToleranceSimulator, NoFaultToleranceVectorized),
-    "PurePeriodicCkpt": (PurePeriodicCkptSimulator, PurePeriodicCkptVectorized),
-    "BiPeriodicCkpt": (BiPeriodicCkptSimulator, BiPeriodicCkptVectorized),
-    "ABFT&PeriodicCkpt": (AbftPeriodicCkptSimulator, AbftPeriodicCkptVectorized),
+    name: (simulator, resolve_protocol(name).vectorized_cls)
+    for name, simulator in (
+        ("NoFT", NoFaultToleranceSimulator),
+        ("PurePeriodicCkpt", PurePeriodicCkptSimulator),
+        ("BiPeriodicCkpt", BiPeriodicCkptSimulator),
+        ("ABFT&PeriodicCkpt", AbftPeriodicCkptSimulator),
+    )
 }
 
 LAW_MODELS = {
@@ -216,7 +216,7 @@ def test_sharded_process_pool_bit_identity(law):
     """The real process transport round-trips engines and tables losslessly."""
     parameters = _parameters(45 * MINUTE)
     workload = ApplicationWorkload.single_epoch(2 * HOUR, 0.8, library_fraction=0.8)
-    engine = PurePeriodicCkptVectorized(
+    engine = PAIRS["PurePeriodicCkpt"][1](
         parameters,
         workload,
         failure_model=SHARD_LAWS[law](45 * MINUTE),
@@ -240,15 +240,14 @@ def test_rle_arrays_sized_by_unique_rounds():
     workload = ApplicationWorkload.iterative(
         1000, 1 * HOUR, 0.6, library_fraction=0.8
     )
-    adapter = BiPeriodicCkptVectorized(parameters, workload)
-    engine = adapter._engine
+    engine = PAIRS["BiPeriodicCkpt"][1](parameters, workload)
     assert engine.segment_count >= 1000
     unique = engine.unique_round_count
     assert unique < engine.segment_count / 100  # compressed, not flattened
     for name in ("_kind", "_work", "_chunk", "_ckpt", "_duration", "_init_w"):
         assert len(getattr(engine, name)) == unique, name
     # And the compressed execution still matches the event walk.
-    table = adapter.run_trials(2, seed=5)
+    table = engine.run_trials(2, seed=5)
     simulator = BiPeriodicCkptSimulator(parameters, workload)
     streams = RandomStreams(5)
     for trial in range(2):

@@ -17,7 +17,7 @@ from repro.campaign import (
     resolve_worker_count,
 )
 from repro.core.parameters import ResilienceParameters
-from repro.core.protocols import PurePeriodicCkptVectorized
+from repro.core.registry import resolve_protocol
 from repro.simulation import MonteCarloRunner, run_monte_carlo
 from repro.simulation.trace import ExecutionTrace, TimeBreakdown
 from repro.utils import HOUR, MINUTE
@@ -77,7 +77,9 @@ def _vector_engine():
     from repro import ApplicationWorkload
 
     workload = ApplicationWorkload.single_epoch(2 * HOUR, 0.8, library_fraction=0.8)
-    return PurePeriodicCkptVectorized(_parameters(), workload, period=1800.0)
+    return resolve_protocol("PurePeriodicCkpt").vectorized_cls(
+        _parameters(), workload, period=1800.0
+    )
 
 
 class TestResolveWorkerCount:

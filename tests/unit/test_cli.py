@@ -106,10 +106,8 @@ class TestMain:
         # each obstacle once; a fresh CLI invocation must start clean, not
         # inherit the previous run's suppressions (long-lived test processes
         # and REPLs call main() repeatedly).
-        from repro.simulation.vectorized import (
-            note_backend_fallback,
-            reset_backend_fallback_notes,
-        )
+        from repro.obs import reset_log_notes
+        from repro.simulation.vectorized import note_backend_fallback
 
         try:
             note_backend_fallback("sentinel obstacle")
@@ -120,7 +118,7 @@ class TestMain:
             note_backend_fallback("sentinel obstacle")  # fresh run notes again
             assert "sentinel obstacle" in capsys.readouterr().err
         finally:
-            reset_backend_fallback_notes()
+            reset_log_notes()
 
 
 class TestCampaignCommand:

@@ -17,7 +17,8 @@ import repro.obs as obs
 from repro import ApplicationWorkload, ResilienceParameters
 from repro.campaign import SweepJob, SweepRunner
 from repro.campaign.executor import ShardedVectorizedExecutor
-from repro.core.protocols import PurePeriodicCkptVectorized
+from repro.core.registry import resolve_protocol
+from repro.simulation.vectorized import VectorizedPhasedSimulator
 from repro.utils import HOUR, MINUTE
 
 
@@ -45,8 +46,10 @@ def _workload() -> ApplicationWorkload:
     return ApplicationWorkload.single_epoch(6 * HOUR, 0.8, library_fraction=0.8)
 
 
-def _engine() -> PurePeriodicCkptVectorized:
-    return PurePeriodicCkptVectorized(_parameters(), _workload())
+def _engine() -> VectorizedPhasedSimulator:
+    return resolve_protocol("PurePeriodicCkpt").vectorized_cls(
+        _parameters(), _workload()
+    )
 
 
 class TestEnginePhaseMetrics:

@@ -75,12 +75,10 @@ class TestBackendFallbackRouting:
     """The vectorized engine's fallback notes flow through obs.log."""
 
     def test_note_format_and_dedupe(self, capsys):
-        from repro.simulation.vectorized import (
-            note_backend_fallback,
-            reset_backend_fallback_notes,
-        )
+        from repro.obs import reset_log_notes
+        from repro.simulation.vectorized import note_backend_fallback
 
-        reset_backend_fallback_notes()
+        reset_log_notes()
         note_backend_fallback("sentinel detail")
         note_backend_fallback("sentinel detail")
         err = capsys.readouterr().err
@@ -88,7 +86,7 @@ class TestBackendFallbackRouting:
         assert 'detail="sentinel detail"' in err
         counter = global_registry().get("repro_log_events_total")
         assert counter.value(level="note", event="backend-fallback") == 2.0
-        reset_backend_fallback_notes()
+        reset_log_notes()
 
     def test_none_detail_is_ignored(self, capsys):
         from repro.simulation.vectorized import note_backend_fallback

@@ -8,10 +8,7 @@ import pytest
 
 from repro import ApplicationWorkload, ResilienceParameters
 from repro.optimize import refine_period, simulate_at_periods
-from repro.simulation.vectorized import (
-    VectorizedBackendError,
-    reset_backend_fallback_notes,
-)
+from repro.obs import reset_log_notes
 from repro.utils import MINUTE, WEEK
 
 
@@ -112,7 +109,7 @@ class TestSimulateAtPeriods:
         assert vectorized == event
 
     def test_trace_law_runs_vectorized(self, parameters, workload, capsys):
-        reset_backend_fallback_notes()
+        reset_log_notes()
         kwargs = dict(
             runs=5,
             seed=1,

@@ -124,8 +124,85 @@ class TestRegistration:
                 registry._PROTOCOL_LOOKUP.pop(key, None)
 
     def test_bad_kind_rejected(self):
-        with pytest.raises(ValueError, match="kind"):
-            registry.register_protocol("X", kind="neither")
+        # "vectorized" is no kind: the engine is derived from the schedule.
+        for kind in ("neither", "vectorized"):
+            with pytest.raises(ValueError, match="kind"):
+                registry.register_protocol("X", kind=kind)
+
+    def test_schedule_registration_gives_the_vectorized_backend(
+        self, paper_parameters, small_workload
+    ):
+        # A protocol registered as model + simulator + schedule compiler,
+        # and nothing else, runs on the vectorized backend bit for bit.
+        from repro.core.protocols import ProtocolSimulator
+        from repro.optimize import simulate_at_periods
+        from repro.simulation.schedule import (
+            PeriodicSegment,
+            Schedule,
+            periodic_chunk_size,
+        )
+
+        @registry.register_protocol("TestOnlySchedule", kind="schedule")
+        def compile_test_schedule(parameters, workload, *, period=3600.0):
+            total = workload.total_time
+            checkpoint = parameters.full_checkpoint
+            return Schedule.from_segments(
+                (
+                    PeriodicSegment(
+                        work=total,
+                        chunk_size=periodic_chunk_size(period, checkpoint, total),
+                        checkpoint_cost=checkpoint,
+                        trailing=False,
+                        stages=(
+                            ("downtime", parameters.downtime),
+                            ("recovery", parameters.full_recovery),
+                        ),
+                    ),
+                )
+            )
+
+        @registry.register_protocol("TestOnlySchedule", kind="model")
+        class TestOnlyScheduleModel:
+            def __init__(self, parameters, *, period=None):
+                self.parameters = parameters
+
+        @registry.register_protocol("TestOnlySchedule", kind="simulator")
+        class TestOnlyScheduleSimulator(ProtocolSimulator):
+            name = "TestOnlySchedule"
+
+            def __init__(self, parameters, workload, *, period=3600.0, **kwargs):
+                super().__init__(parameters, workload, **kwargs)
+                self._period = period
+
+            def compile_schedule(self):
+                return compile_test_schedule(
+                    self._params, self._workload, period=self._period
+                )
+
+        try:
+            assert "TestOnlySchedule" in registry.vectorized_protocol_names()
+            from repro.campaign.executor import run_campaign
+
+            common = dict(runs=24, seed=5, failure_model=None, max_slowdown=1e4)
+            knobs = {"period": 1800.0}
+            vectorized = run_campaign(
+                "TestOnlySchedule", paper_parameters, small_workload,
+                backend="vectorized", knobs=knobs, **common,
+            )
+            event = run_campaign(
+                "TestOnlySchedule", paper_parameters, small_workload,
+                backend="event", knobs=knobs, **common,
+            )
+            assert vectorized == event
+            assert vectorized.data["failure_count"].sum() > 0
+            summary = simulate_at_periods(
+                "TestOnlySchedule", paper_parameters, small_workload, knobs,
+                runs=24, seed=5, backend="vectorized",
+            )
+            assert summary == vectorized.summary_dict()
+        finally:
+            registry._PROTOCOLS.pop("TestOnlySchedule")
+            registry._PROTOCOL_LOOKUP.pop("testonlyschedule", None)
 
     def test_conflicting_alias_rejected(self):
         with pytest.raises(ValueError, match="already registered"):

@@ -268,6 +268,63 @@ class TestFailureSpec:
 
 
 class TestSimulationBackend:
+    def test_spec_and_campaign_name_the_same_obstacle(self):
+        # ScenarioSpec validation and the campaign runner share one rule
+        # and one wording for "cannot run vectorized".
+        from repro.core import registry
+        from repro.optimize import simulate_at_periods
+        from repro.simulation.vectorized import (
+            VectorizedBackendError,
+            vectorized_backend_obstacle,
+        )
+
+        @registry.register_failure_model("test-weibull-variant")
+        class WeibullVariant(WeibullFailureModel):
+            pass
+
+        @registry.register_protocol("TestNoSchedule", kind="model")
+        class TestNoScheduleModel:
+            def __init__(self, parameters):
+                self.parameters = parameters
+
+        @registry.register_protocol("TestNoSchedule", kind="simulator")
+        class TestNoScheduleSimulator:
+            def __init__(self, parameters, workload, **kwargs):
+                pass
+
+        cases = (
+            ("PurePeriodicCkpt", "test-weibull-variant", {"shape": 0.7},
+             WeibullVariant, "WeibullVariant"),
+            ("TestNoSchedule", "exponential", {}, None, "no vectorized engine"),
+        )
+        try:
+            for protocol, law, params, law_cls, phrase in cases:
+                obstacle = vectorized_backend_obstacle(protocol, law, law_cls)
+                assert phrase in obstacle
+                data = minimal_dict()
+                data["protocols"] = [protocol]
+                data["failures"] = {"model": law, "params": params}
+                data["simulation"] = {"backend": "vectorized"}
+                with pytest.raises(ScenarioSpecError) as spec_error:
+                    ScenarioSpec.from_dict(data)
+                spec = ScenarioSpec.from_dict(
+                    {**data, "simulation": {"backend": "event"}}
+                )
+                with pytest.raises(VectorizedBackendError) as run_error:
+                    simulate_at_periods(
+                        protocol, spec.parameters(),
+                        spec.application_workload(), {}, runs=2, seed=1,
+                        backend="vectorized", failure_model=law,
+                        failure_params=params,
+                    )
+                assert obstacle in str(spec_error.value)
+                assert obstacle in str(run_error.value)
+        finally:
+            registry._FAILURE_MODELS.pop("test-weibull-variant")
+            registry._FAILURE_LOOKUP.pop("test-weibull-variant", None)
+            registry._PROTOCOLS.pop("TestNoSchedule")
+            registry._PROTOCOL_LOOKUP.pop("testnoschedule", None)
+
     def test_default_backend_is_event(self):
         spec = ScenarioSpec.from_dict(minimal_dict())
         assert spec.simulation.backend == "event"

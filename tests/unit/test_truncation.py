@@ -19,7 +19,7 @@ from repro.core.protocols import (
     NoFaultToleranceSimulator,
     PurePeriodicCkptSimulator,
 )
-from repro.core.protocols.pure_periodic import PurePeriodicCkptVectorized
+from repro.core.registry import resolve_protocol
 from repro.simulation import run_monte_carlo
 from repro.utils import HOUR, MINUTE
 
@@ -99,7 +99,7 @@ class TestCampaignTruncation:
         assert parallel.waste == serial.waste
 
     def test_vectorized_backend_flags_identically(self, simulator):
-        table = PurePeriodicCkptVectorized(
+        table = resolve_protocol("PurePeriodicCkpt").vectorized_cls(
             _infeasible_parameters(), _workload(), max_slowdown=MAX_SLOWDOWN
         ).run_trials(RUNS, seed=SEED)
         event = run_monte_carlo(simulator.simulate_once, runs=RUNS, seed=SEED)

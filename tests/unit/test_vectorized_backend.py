@@ -12,15 +12,12 @@ import pytest
 
 from repro import ApplicationWorkload, ResilienceParameters
 from repro.campaign import SweepJob, SweepRunner
+from repro.core import registry
 from repro.core.protocols import (
     AbftPeriodicCkptSimulator,
-    AbftPeriodicCkptVectorized,
     BiPeriodicCkptSimulator,
-    BiPeriodicCkptVectorized,
     NoFaultToleranceSimulator,
-    NoFaultToleranceVectorized,
     PurePeriodicCkptSimulator,
-    PurePeriodicCkptVectorized,
 )
 from repro.core.registry import (
     resolve_protocol,
@@ -33,24 +30,27 @@ from repro.failures import (
     TraceFailureModel,
     WeibullFailureModel,
 )
+from repro.obs import reset_log_notes
 from repro.simulation.rng import RandomStreams
+from repro.simulation.schedule import PeriodicSegment
 from repro.simulation.trace import CATEGORIES
 from repro.simulation.vectorized import (
     ENGINE_BACKENDS,
     VectorizedBackendError,
-    VectorizedChunkedSimulator,
-    exponential_mtbf_or_raise,
-    reset_backend_fallback_notes,
+    VectorizedPhasedSimulator,
     vectorized_backend_obstacle,
     vectorized_failure_model_or_raise,
 )
 from repro.utils import HOUR, MINUTE
 
 PAIRS = {
-    "NoFT": (NoFaultToleranceSimulator, NoFaultToleranceVectorized),
-    "PurePeriodicCkpt": (PurePeriodicCkptSimulator, PurePeriodicCkptVectorized),
-    "BiPeriodicCkpt": (BiPeriodicCkptSimulator, BiPeriodicCkptVectorized),
-    "ABFT&PeriodicCkpt": (AbftPeriodicCkptSimulator, AbftPeriodicCkptVectorized),
+    name: (simulator, resolve_protocol(name).vectorized_cls)
+    for name, simulator in (
+        ("NoFT", NoFaultToleranceSimulator),
+        ("PurePeriodicCkpt", PurePeriodicCkptSimulator),
+        ("BiPeriodicCkpt", BiPeriodicCkptSimulator),
+        ("ABFT&PeriodicCkpt", AbftPeriodicCkptSimulator),
+    )
 }
 
 LAW_MODELS = {
@@ -116,7 +116,7 @@ class TestCrossValidation:
     @pytest.mark.parametrize("seed", [0, 1, 99, 20140527])
     def test_bit_identical_across_seeds(self, seed):
         assert_tables_match_event(
-            "PurePeriodicCkpt", PurePeriodicCkptVectorized,
+            "PurePeriodicCkpt", PAIRS["PurePeriodicCkpt"][1],
             _parameters(), _workload(), runs=12, seed=seed,
         )
 
@@ -134,20 +134,20 @@ class TestCrossValidation:
         # Explicit period below the checkpoint cost degenerates to a single
         # chunk in both engines.
         assert_tables_match_event(
-            "PurePeriodicCkpt", PurePeriodicCkptVectorized, _parameters(),
+            "PurePeriodicCkpt", PAIRS["PurePeriodicCkpt"][1], _parameters(),
             _workload(2 * HOUR), runs=15, seed=8, period=30.0,
         )
 
     def test_degenerate_periods_identical_bi_periodic(self):
         assert_tables_match_event(
-            "BiPeriodicCkpt", BiPeriodicCkptVectorized, _parameters(),
+            "BiPeriodicCkpt", PAIRS["BiPeriodicCkpt"][1], _parameters(),
             _workload(2 * HOUR), runs=15, seed=8,
             general_period=30.0, library_period=float("nan"),
         )
 
     def test_degenerate_period_identical_composite(self):
         assert_tables_match_event(
-            "ABFT&PeriodicCkpt", AbftPeriodicCkptVectorized, _parameters(),
+            "ABFT&PeriodicCkpt", PAIRS["ABFT&PeriodicCkpt"][1], _parameters(),
             _workload(2 * HOUR), runs=15, seed=8,
             general_period=float("nan"),
         )
@@ -159,7 +159,7 @@ class TestCrossValidation:
             4, 2 * HOUR, 0.05, library_fraction=0.8
         )
         assert_tables_match_event(
-            "ABFT&PeriodicCkpt", AbftPeriodicCkptVectorized, _parameters(),
+            "ABFT&PeriodicCkpt", PAIRS["ABFT&PeriodicCkpt"][1], _parameters(),
             workload, runs=12, seed=13, safeguard=True,
         )
 
@@ -176,14 +176,14 @@ class TestCrossValidation:
     def test_explicit_exponential_model_identical(self):
         model = ExponentialFailureModel(90 * MINUTE)
         assert_tables_match_event(
-            "NoFT", NoFaultToleranceVectorized, _parameters(),
+            "NoFT", PAIRS["NoFT"][1], _parameters(),
             _workload(2 * HOUR), runs=15, seed=4, failure_model=model,
         )
 
     def test_zero_downtime_restart(self):
         params = _parameters(downtime=0.0)
         assert_tables_match_event(
-            "NoFT", NoFaultToleranceVectorized, params, _workload(2 * HOUR),
+            "NoFT", PAIRS["NoFT"][1], params, _workload(2 * HOUR),
             runs=15, seed=6,
         )
 
@@ -208,15 +208,10 @@ class TestValidation:
             pass
 
         with pytest.raises(VectorizedBackendError, match="RecordedTrace"):
-            PurePeriodicCkptVectorized(
+            PAIRS["PurePeriodicCkpt"][1](
                 _parameters(), _workload(),
                 failure_model=RecordedTrace([100.0, 200.0, 300.0]),
             )
-
-    def test_exponential_mtbf_helper(self):
-        assert exponential_mtbf_or_raise(None, 123.0, protocol="p") == 123.0
-        model = ExponentialFailureModel(456.0)
-        assert exponential_mtbf_or_raise(model, 123.0, protocol="p") == 456.0
 
     def test_vectorized_model_helper_passes_flagged_laws_through(self):
         default = vectorized_failure_model_or_raise(None, 123.0, protocol="p")
@@ -230,10 +225,7 @@ class TestValidation:
 
     def test_no_obstacle_for_trace_replay(self):
         detail = vectorized_backend_obstacle(
-            PurePeriodicCkptVectorized,
-            TraceFailureModel([100.0]),
-            protocol="PurePeriodicCkpt",
-            law="trace",
+            "PurePeriodicCkpt", "trace", TraceFailureModel
         )
         assert detail is None
 
@@ -242,40 +234,47 @@ class TestValidation:
             pass
 
         detail = vectorized_backend_obstacle(
-            PurePeriodicCkptVectorized,
-            RecordedTrace([100.0]),
-            protocol="PurePeriodicCkpt",
-            law="trace",
+            "PurePeriodicCkpt", "trace", RecordedTrace
         )
         assert "RecordedTrace" in detail
         for law in vectorized_law_names():
             assert law in detail
 
     def test_obstacle_names_missing_engine(self):
-        detail = vectorized_backend_obstacle(
-            None, None, protocol="ThirdPartyCkpt", law="exponential",
-            available=vectorized_protocol_names(),
-        )
+        @registry.register_protocol("ThirdPartyCkpt", kind="simulator")
+        class ThirdPartySimulator:
+            pass
+
+        try:
+            detail = vectorized_backend_obstacle("ThirdPartyCkpt")
+        finally:
+            registry._PROTOCOLS.pop("ThirdPartyCkpt")
+            registry._PROTOCOL_LOOKUP.pop("thirdpartyckpt", None)
         assert "ThirdPartyCkpt" in detail
         assert "no vectorized engine" in detail
 
     def test_invalid_runs_rejected(self):
-        engine = PurePeriodicCkptVectorized(_parameters(), _workload())
+        engine = PAIRS["PurePeriodicCkpt"][1](_parameters(), _workload())
         with pytest.raises(ValueError, match="runs"):
             engine.run_trials(0)
 
     def test_invalid_max_slowdown_rejected(self):
         with pytest.raises(ValueError, match="max_slowdown"):
-            NoFaultToleranceVectorized(
+            PAIRS["NoFT"][1](
                 _parameters(), _workload(), max_slowdown=0.5
             )
 
     def test_engine_rejects_unknown_restart_category(self):
         with pytest.raises(KeyError, match="coffee"):
-            VectorizedChunkedSimulator(
-                protocol="x", application_time=10.0, work=10.0,
-                chunk_size=5.0, checkpoint_cost=0.0,
-                restart_stages=(("coffee", 1.0),), mtbf=100.0,
+            VectorizedPhasedSimulator(
+                protocol="x", application_time=10.0,
+                segments=(
+                    PeriodicSegment(
+                        work=10.0, chunk_size=5.0, checkpoint_cost=0.0,
+                        trailing=False, stages=(("coffee", 1.0),),
+                    ),
+                ),
+                failure_model=ExponentialFailureModel(100.0),
                 max_makespan=1e5,
             )
 
@@ -287,15 +286,16 @@ class TestRegistry:
             assert protocol in names
 
     def test_entry_exposes_vectorized_cls(self):
-        assert resolve_protocol("pure-periodic").vectorized_cls is (
-            PurePeriodicCkptVectorized
-        )
-        assert resolve_protocol("BiPeriodicCkpt").vectorized_cls is (
-            BiPeriodicCkptVectorized
-        )
-        assert resolve_protocol("abft").vectorized_cls is (
-            AbftPeriodicCkptVectorized
-        )
+        for alias, name in (
+            ("pure-periodic", "PurePeriodicCkpt"),
+            ("BiPeriodicCkpt", "BiPeriodicCkpt"),
+            ("abft", "ABFT&PeriodicCkpt"),
+        ):
+            engine = resolve_protocol(alias).vectorized_cls(
+                _parameters(), _workload()
+            )
+            assert isinstance(engine, VectorizedPhasedSimulator)
+            assert engine.protocol == name
 
     def test_vectorized_laws_registered(self):
         assert set(vectorized_law_names()) == {
@@ -382,7 +382,7 @@ class TestSweepBackendSelection:
             assert a.simulated_waste == b.simulated_waste
 
     def test_auto_backend_vectorizes_trace_law(self, capsys):
-        reset_backend_fallback_notes()
+        reset_log_notes()
         job = self._job(
             backend="auto",
             failure_model="trace",
@@ -426,13 +426,13 @@ class TestExponentialSubclassRejection:
 
     def test_helper_rejects_subclass(self):
         with pytest.raises(VectorizedBackendError, match="TweakedExponential"):
-            exponential_mtbf_or_raise(
+            vectorized_failure_model_or_raise(
                 self.TweakedExponential(3600.0), 3600.0, protocol="p"
             )
 
     def test_adapter_rejects_subclass(self):
         with pytest.raises(VectorizedBackendError):
-            PurePeriodicCkptVectorized(
+            PAIRS["PurePeriodicCkpt"][1](
                 _parameters(), _workload(),
                 failure_model=self.TweakedExponential(3600.0),
             )
@@ -440,7 +440,7 @@ class TestExponentialSubclassRejection:
 
 class TestSingleRunSummaryStaysJson:
     def test_summary_dict_replaces_nan_with_none(self):
-        table = PurePeriodicCkptVectorized(_parameters(), _workload()).run_trials(
+        table = PAIRS["PurePeriodicCkpt"][1](_parameters(), _workload()).run_trials(
             1, seed=3
         )
         payload = table.summary_dict()
