@@ -95,11 +95,11 @@ def _engine() -> VectorizedPhasedSimulator:
 
 
 def _time_baseline(engine, trials: int) -> float:
-    # The pre-instrumentation body of run_trial_range: derive the trial
-    # generators, run the engine core, no flag checks and no profiling.
-    core = engine
+    # The pre-instrumentation body of run_trial_range: run the chunked
+    # engine core (each chunk derives its generators), no flag checks and
+    # no profiling.
     start = time.perf_counter()
-    core._run(trials, core._trial_rngs(0, trials, SEED))
+    engine._run_chunks(0, trials, SEED)
     return time.perf_counter() - start
 
 
@@ -125,9 +125,8 @@ def test_disabled_instrumentation_overhead_gate():
 
     # The gated run doubles as a correctness check: the public entry
     # point must match the bare body bit-for-bit.
-    core = engine
-    assert engine.run_trial_range(0, 200, seed=SEED) == core._run(
-        200, core._trial_rngs(0, 200, SEED)
+    assert engine.run_trial_range(0, 200, seed=SEED) == engine._run_chunks(
+        0, 200, SEED
     )
 
     print(
@@ -157,11 +156,11 @@ def test_traced_run_is_bit_identical_and_profiled():
     assert len(records) == 1
     span = records[0]
     assert span.args["trials"] == trials
-    for phase in ("sample_seconds", "execute_seconds", "gather_seconds"):
-        assert span.args[phase] >= 0.0
+    for phase in ("derive", "sample", "execute", "gather"):
+        assert span.args[f"{phase}_seconds"] >= 0.0
     phases = obs.catalog.family("repro_engine_phase_seconds_total")
     recorded = {key[0] for key in phases.values()}
-    assert recorded == {"compile", "sample", "execute", "gather"}
+    assert recorded == {"compile", "derive", "sample", "execute", "gather"}
 
 
 def _write_trajectory(

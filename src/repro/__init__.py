@@ -32,9 +32,10 @@ The paper averages 1000 simulated executions per parameter point and sweeps
 the whole (MTBF, alpha) plane.  :mod:`repro.campaign` makes that tractable:
 
 * :class:`~repro.campaign.ParallelMonteCarloExecutor` fans the trials of one
-  Monte-Carlo campaign out over a process pool.  Trial ``i`` derives its RNG
-  from ``SeedSequence(entropy=seed, spawn_key=(i,))`` exactly like the serial
-  runner, and per-trial samples are re-aggregated in trial order, so the same
+  Monte-Carlo campaign out over a process pool.  Trial ``i`` draws from the
+  generator of ``SeedSequence(entropy=seed, spawn_key=(i, 0))`` (the first
+  child of the ``i``-th child of the root) exactly like the serial runner,
+  and per-trial samples are re-aggregated in trial order, so the same
   root seed yields **bit-identical** summary statistics for any worker count
   (``MonteCarloRunner(parallel=True, workers=N)`` exposes the same knob).
 * :class:`~repro.campaign.SweepRunner` materialises (MTBF, alpha) grids as

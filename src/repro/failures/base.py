@@ -4,52 +4,56 @@ from __future__ import annotations
 
 import abc
 import copy
-from typing import Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.simulation.rng import TrialStreams
 
 __all__ = ["FailureModel", "TrialBlockSampler"]
 
 
 class TrialBlockSampler:
-    """Per-campaign block sampler driving the vectorized engine's refills.
+    """Per-chunk block sampler driving the vectorized engine's refills.
 
     The across-trials engine
     (:class:`~repro.simulation.vectorized.VectorizedPhasedSimulator`)
-    requests one sampler per campaign via
-    :meth:`FailureModel.trial_block_sampler` and asks it for blocks of
+    requests one sampler per chunk of trials via
+    :meth:`FailureModel.trial_block_sampler`, handing it the chunk's
+    :class:`~repro.simulation.rng.TrialStreams`, and asks it for blocks of
     inter-arrival draws, one row per trial.  This default implementation
-    reproduces the event backend exactly by construction: each trial gets
-    its own :meth:`FailureModel.spawn`-ed model (free for stateless laws,
-    a rewound clone for stateful ones) whose
+    reproduces the event backend exactly by construction: it builds each
+    trial's generator from the chunk's state rows, and each trial gets its
+    own :meth:`FailureModel.spawn`-ed model (free for stateless laws, a
+    rewound clone for stateful ones) whose
     :meth:`FailureModel.sample_interarrivals` consumes that trial's
     generator -- the very calls the event backend's
     :class:`~repro.failures.timeline.FailureTimeline` makes.
 
     Stateful models can subclass this to batch across trials; see the
-    trace-replay sampler in :mod:`repro.failures.trace_based`.
+    trace-replay sampler in :mod:`repro.failures.trace_based`, which never
+    draws from a generator and so builds none.
     """
 
-    def __init__(self, model: "FailureModel", trials: int) -> None:
-        if trials <= 0:
-            raise ValueError(f"trials must be positive, got {trials}")
-        self._models = [model.spawn() for _ in range(int(trials))]
+    def __init__(self, model: "FailureModel", streams: "TrialStreams") -> None:
+        if len(streams) <= 0:
+            raise ValueError(f"trials must be positive, got {len(streams)}")
+        self._models = [model.spawn() for _ in range(len(streams))]
+        self._rngs = streams.generators()
 
-    def sample_blocks(
-        self,
-        indices: np.ndarray,
-        rngs: Sequence[np.random.Generator],
-        count: int,
-    ) -> np.ndarray:
+    def sample_blocks(self, indices: np.ndarray, count: int) -> np.ndarray:
         """Draw ``count`` inter-arrivals for every trial in ``indices``.
 
-        Returns a ``(len(indices), count)`` float array whose row ``j``
-        holds trial ``indices[j]``'s next block, bit-identical to the
-        per-trial stream the event backend consumes.
+        ``indices`` are offsets into the sampler's trial range.  Returns a
+        ``(len(indices), count)`` float array whose row ``j`` holds trial
+        ``indices[j]``'s next block, bit-identical to the per-trial stream
+        the event backend consumes.
         """
+        models, rngs = self._models, self._rngs
         out = np.empty((len(indices), int(count)), dtype=float)
         for j, i in enumerate(indices):
-            out[j] = self._models[i].sample_interarrivals(rngs[i], count)
+            out[j] = models[i].sample_interarrivals(rngs[i], count)
         return out
 
 
@@ -110,16 +114,17 @@ class FailureModel(abc.ABC):
             current += self.sample_interarrival(rng)
             yield current
 
-    def trial_block_sampler(self, trials: int) -> TrialBlockSampler:
-        """A per-campaign sampler for the vectorized engine's block refills.
+    def trial_block_sampler(self, streams: "TrialStreams") -> TrialBlockSampler:
+        """A sampler for the vectorized engine's block refills over ``streams``.
 
-        The default wraps per-trial :meth:`spawn`-ed models in a
-        :class:`TrialBlockSampler`, which is exactly the event backend's
-        sampling (and therefore bit-identical) for every model.  Stateful
-        models whose draws do not depend on the generator (trace replay)
-        override this with a sampler that batches across trials.
+        The default wraps per-trial :meth:`spawn`-ed models and the trials'
+        generators in a :class:`TrialBlockSampler`, which is exactly the
+        event backend's sampling (and therefore bit-identical) for every
+        model.  Stateful models whose draws do not depend on the generator
+        (trace replay) override this with a sampler that batches across
+        trials and builds no generator.
         """
-        return TrialBlockSampler(self, trials)
+        return TrialBlockSampler(self, streams)
 
     def spawn(self) -> "FailureModel":
         """Return an instance that is safe to consume in a new simulation run.

@@ -9,12 +9,15 @@ scripted sequence of failures exercises a specific protocol path.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
 from repro.core.registry import register_failure_model
 from repro.failures.base import FailureModel, TrialBlockSampler
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.simulation.rng import TrialStreams
 
 __all__ = ["TraceFailureModel", "TraceBlockSampler"]
 
@@ -31,24 +34,19 @@ class TraceBlockSampler(TrialBlockSampler):
     traces return :attr:`TraceFailureModel.EXHAUSTED` past the end without
     advancing past it -- both exactly the per-draw semantics of
     :meth:`TraceFailureModel.sample_interarrival`, so the streams stay bit
-    identical.  Generators are accepted (the shared signature) but never
-    consumed, matching the event path.
+    identical.  Replay never draws from a generator (the event path ignores
+    its generator too), so the sampler builds none.
     """
 
-    def __init__(self, model: "TraceFailureModel", trials: int) -> None:
-        if trials <= 0:
-            raise ValueError(f"trials must be positive, got {trials}")
+    def __init__(self, model: "TraceFailureModel", streams: "TrialStreams") -> None:
+        if len(streams) <= 0:
+            raise ValueError(f"trials must be positive, got {len(streams)}")
         self._trace = model._interarrivals
         self._cycle = model.cycle
         self._exhausted = model.EXHAUSTED
-        self._cursor = np.zeros(int(trials), dtype=np.int64)
+        self._cursor = np.zeros(len(streams), dtype=np.int64)
 
-    def sample_blocks(
-        self,
-        indices: np.ndarray,
-        rngs: Sequence[np.random.Generator],  # noqa: ARG002 - never consumed
-        count: int,
-    ) -> np.ndarray:
+    def sample_blocks(self, indices: np.ndarray, count: int) -> np.ndarray:
         trace = self._trace
         size = trace.size
         count = int(count)
@@ -194,7 +192,7 @@ class TraceFailureModel(FailureModel):
         self._cursor += 1
         return value
 
-    def trial_block_sampler(self, trials: int) -> TraceBlockSampler:
+    def trial_block_sampler(self, streams: "TrialStreams") -> TraceBlockSampler:
         """Batched replay for the vectorized engine (see the registry flag).
 
         Every trial's cursor starts at the first entry -- exactly what
@@ -202,7 +200,7 @@ class TraceFailureModel(FailureModel):
         other trial, so campaign shards see identical streams at any shard
         boundary.
         """
-        return TraceBlockSampler(self, trials)
+        return TraceBlockSampler(self, streams)
 
     def scaled(self, factor: float) -> "TraceFailureModel":
         if factor <= 0:

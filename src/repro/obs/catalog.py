@@ -60,8 +60,8 @@ CATALOG: Tuple[MetricSpec, ...] = (
         "repro_engine_phase_seconds_total",
         "counter",
         "Wall-clock seconds per engine phase "
-        "(compile, sample, execute, gather); only accumulated while "
-        "instrumentation is enabled.",
+        "(compile, derive, sample, execute, gather); only accumulated "
+        "while instrumentation is enabled.",
         ("phase", "protocol"),
         SCOPE_GLOBAL,
     ),

@@ -14,7 +14,7 @@ import http.client
 import json
 import threading
 from dataclasses import dataclass
-from typing import Any, Dict, Mapping, Optional, Tuple
+from typing import Any, Dict, Mapping, Optional
 
 from repro.service.app import AdvisorService, serve_forever
 

@@ -23,7 +23,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from repro.simulation.rng import RandomStreams, trial_seed_sequences
+from repro.simulation.rng import TrialStreams
 from repro.simulation.table import TrialTable
 from repro.simulation.trace import ExecutionTrace
 from repro.utils.stats import SummaryStatistics
@@ -159,33 +159,20 @@ def simulate_trial_range(
 ) -> tuple[TrialTable, list[ExecutionTrace]]:
     """Run trials ``start..stop-1`` and return their table slice.
 
-    Each trial's generator is derived exactly as the serial runner derives
-    it (``RandomStreams(seed).generator_for_trial(index)``), which is what
-    lets the parallel executor split a campaign into batches and reassemble
-    a bit-identical table.
+    Each trial's generator is bit-identical to
+    ``RandomStreams(seed).generator_for_trial(index)``, which is what lets
+    the parallel executor split a campaign into batches and reassemble a
+    bit-identical table.  The range's state rows are derived in one pass
+    (:class:`~repro.simulation.rng.TrialStreams`) and each generator is
+    built only when its trial runs.
     """
     if stop <= start:
         raise ValueError(f"empty trial range [{start}, {stop})")
-    streams = RandomStreams(seed)
-    # Full seeded campaigns draw the per-trial SeedSequence children from
-    # the process-wide memo: sweep runners call this for every grid point
-    # with the same root seed, and the children depend only on
-    # (seed, index).  Mid-campaign batches (start > 0, the process-pool
-    # workers) derive per index instead -- growing the memo from 0 would
-    # cost them the whole prefix for one slice.
-    sequences = (
-        trial_seed_sequences(seed, stop)
-        if seed is not None and start == 0
-        else None
-    )
+    streams = TrialStreams(seed, start, stop)
     table = TrialTable.empty(stop - start)
     traces: list[ExecutionTrace] = []
     for index in range(start, stop):
-        if sequences is None:
-            rng = streams.generator_for_trial(index)
-        else:
-            rng = np.random.default_rng(sequences[index])
-        trace = simulate_once(rng)
+        trace = simulate_once(streams.generator(index - start))
         if index == start:
             table = TrialTable(
                 table.data,

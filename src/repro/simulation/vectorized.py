@@ -50,7 +50,12 @@ Two more properties matter at campaign scale:
   contiguous ``[start, stop)`` slice of a campaign with the per-trial
   generators derived from the *absolute* indices, so
   :class:`~repro.campaign.executor.ShardedVectorizedExecutor` can fan one
-  campaign over worker processes and reassemble bit-identical results.
+  campaign over worker processes and reassemble bit-identical results;
+* the same shard-boundary contract bounds memory: a range runs in chunks
+  of :data:`TRIAL_CHUNK` trials, each with its own failure sampler and
+  generators (built from the chunk's state rows, see
+  :class:`~repro.simulation.rng.TrialStreams`), so only one chunk's
+  generators, refill blocks and state vectors are alive at a time.
 
 The cross-validation tests assert exact ``==`` on every column, and the
 sweep cache deliberately uses the same keys for both backends -- entries
@@ -61,7 +66,7 @@ from __future__ import annotations
 
 import math
 import time
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -70,7 +75,7 @@ import repro.obs as _obs
 from repro.failures.base import FailureModel
 from repro.failures.exponential import ExponentialFailureModel
 from repro.failures.timeline import DEFAULT_BATCH_SIZE
-from repro.simulation.rng import RandomStreams, trial_seed_sequences
+from repro.simulation.rng import TrialStreams
 from repro.simulation.schedule import (
     WORK_EPSILON as _WORK_EPSILON,
     AbftSegment,
@@ -103,6 +108,14 @@ __all__ = [
 #: across-trials engine of this module, ``"auto"`` picks the vectorized
 #: engine whenever the (protocol, failure law) pair supports it.
 ENGINE_BACKENDS = ("event", "vectorized", "auto")
+
+#: Trials advanced together by one pass of the execute loop.  A trial range
+#: runs in chunks of this size and concatenates them, which is bit-identical
+#: because trials never interact; only one chunk's generators and refill
+#: temporaries are alive at a time.  On the 100k-trial reference cell 8192
+#: was the fastest size measured (4096 no faster, 16384 no faster and ~35%
+#: more peak memory).
+TRIAL_CHUNK = 8192
 
 
 class VectorizedBackendError(ValueError):
@@ -515,61 +528,71 @@ class VectorizedPhasedSimulator:
         :func:`repro.simulation.runner.simulate_trial_range`, so a campaign
         split into contiguous shards -- at any boundaries -- concatenates to
         the bit-identical serial table.  This is the worker-side entry point
-        of :class:`~repro.campaign.executor.ShardedVectorizedExecutor`.
+        of :class:`~repro.campaign.executor.ShardedVectorizedExecutor`.  The
+        range itself runs in chunks of :data:`TRIAL_CHUNK` trials under the
+        same contract; instrumented, it still counts as one engine run.
         """
         if start < 0 or stop <= start:
             raise ValueError(
                 f"need 0 <= start < stop, got start={start}, stop={stop}"
             )
-        n = int(stop) - int(start)
+        start, stop = int(start), int(stop)
         if not _obs.enabled():
             # The no-op fast path: the disabled-instrumentation overhead is
             # this one flag check (gated at <= 2% by
             # benchmarks/test_bench_obs.py; the observed cost is far below
             # measurement noise).
-            return self._run(n, self._trial_rngs(start, stop, seed))
+            return self._run_chunks(start, stop, seed)
+        phases = dict.fromkeys(("derive", "sample", "execute", "gather"), 0.0)
         if _obs.tracing():
             with _obs.span(
                 "engine",
                 category="engine",
                 protocol=self._protocol,
-                trials=n,
-                start=int(start),
-                stop=int(stop),
+                trials=stop - start,
+                start=start,
+                stop=stop,
             ) as engine_span:
-                return self._run(
-                    n,
-                    self._trial_rngs(start, stop, seed),
-                    profile=True,
-                    span=engine_span,
-                )
-        return self._run(n, self._trial_rngs(start, stop, seed), profile=True)
+                table = self._run_chunks(start, stop, seed, phases)
+                self._record_run_metrics(stop - start, engine_span, **phases)
+                return table
+        table = self._run_chunks(start, stop, seed, phases)
+        self._record_run_metrics(stop - start, None, **phases)
+        return table
 
-    def _trial_rngs(
-        self, start: int, stop: int, seed: Optional[int]
-    ) -> List[np.random.Generator]:
-        """Per-trial generators for the absolute indices ``[start, stop)``."""
-        if seed is not None and start == 0:
-            # Seeded campaigns reuse the memoised per-trial SeedSequence
-            # children: sweeps derive the same (seed, i) children at every
-            # grid point, and the derivation used to be ~40% of this
-            # engine's wall-clock.  Bit-identical to generator_for_trial.
-            return [
-                np.random.default_rng(sequence)
-                for sequence in trial_seed_sequences(seed, stop)[:stop]
-            ]
-        streams = RandomStreams(seed)
-        return [
-            streams.generator_for_trial(i) for i in range(int(start), int(stop))
+    def _run_chunks(
+        self,
+        start: int,
+        stop: int,
+        seed: Optional[int],
+        phases: Optional[Dict[str, float]] = None,
+    ) -> TrialTable:
+        """Run ``[start, stop)`` chunk by chunk and concatenate in trial order.
+
+        Each chunk derives its own streams and failure sampler, so the
+        previous chunk's generators are garbage before the next chunk's are
+        built.  ``phases`` (profiling only) accumulates per-phase seconds.
+        """
+        tables = [
+            self._run(TrialStreams(seed, lo, min(lo + TRIAL_CHUNK, stop)), phases)
+            for lo in range(start, stop, TRIAL_CHUNK)
         ]
+        if len(tables) == 1:
+            return tables[0]
+        begin = time.perf_counter() if phases is not None else 0.0
+        table = TrialTable.concatenate(tables)
+        if phases is not None:
+            phases["gather"] += time.perf_counter() - begin
+        return table
 
     def _run(
         self,
-        n: int,
-        rngs: Sequence[np.random.Generator],
-        profile: bool = False,
-        span=None,
+        streams: TrialStreams,
+        phases: Optional[Dict[str, float]] = None,
     ) -> TrialTable:
+        n = len(streams)
+        profile = phases is not None
+        run_begin = time.perf_counter() if profile else 0.0
         model = self._model
 
         block = self._block
@@ -603,13 +626,17 @@ class VectorizedPhasedSimulator:
         filled = np.zeros(n, dtype=bool)
 
         # The model decides how its per-trial blocks are drawn: stateless
-        # laws sample from each trial's generator, trace replay advances
-        # per-trial cursors over the shared trace array.  Either way the
-        # draws match the event backend's per-trial FailureTimeline stream.
-        sampler = model.trial_block_sampler(n)
+        # laws build each trial's generator from the chunk's state rows and
+        # sample from it, trace replay advances per-trial cursors over the
+        # shared trace array and builds no generator.  Either way the draws
+        # match the event backend's per-trial FailureTimeline stream.  Its
+        # construction is the "derive" engine phase.
+        derive_begin = time.perf_counter() if profile else 0.0
+        sampler = model.trial_block_sampler(streams)
+        derive_seconds = time.perf_counter() - derive_begin if profile else 0.0
 
         def refill(indices: np.ndarray) -> None:
-            draws = np.maximum(sampler.sample_blocks(indices, rngs, block), tiny)
+            draws = np.maximum(sampler.sample_blocks(indices, block), tiny)
             # Row-wise cumsum performs the same float64 additions in the
             # same order as the historical per-trial 1-D cumsum.
             times = last[indices, None] + np.cumsum(draws, axis=1)
@@ -633,8 +660,6 @@ class VectorizedPhasedSimulator:
                 begin = time.perf_counter()
                 unprofiled_refill(indices)
                 sample_seconds += time.perf_counter() - begin
-
-        run_begin = time.perf_counter() if profile else 0.0
 
         # Per-trial state.  The schedule cursor is the triple (run,
         # repetition, offset) over the compressed runs; ``seg`` caches the
@@ -892,13 +917,12 @@ class VectorizedPhasedSimulator:
             data[category] = acc[category]
         if profile:
             finish = time.perf_counter()
-            self._record_run_metrics(
-                n,
-                span,
-                sample=sample_seconds,
-                execute=(gather_begin - run_begin) - sample_seconds,
-                gather=finish - gather_begin,
+            phases["derive"] += derive_seconds
+            phases["sample"] += sample_seconds
+            phases["execute"] += (
+                gather_begin - run_begin - derive_seconds - sample_seconds
             )
+            phases["gather"] += finish - gather_begin
         return table
 
     def _record_run_metrics(

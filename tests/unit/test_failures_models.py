@@ -11,6 +11,7 @@ from repro.failures import (
     TraceFailureModel,
     WeibullFailureModel,
 )
+from repro.simulation.rng import TrialStreams
 
 
 class TestExponentialFailureModel:
@@ -140,49 +141,56 @@ class TestTraceFailureModel:
 class TestTraceBlockSampler:
     """Batched trace replay must match the per-draw event semantics."""
 
-    def _rngs(self, n):
-        return [np.random.default_rng(i) for i in range(n)]
+    def _streams(self, n):
+        return TrialStreams(seed=0, start=0, stop=n)
 
     def test_each_trial_replays_from_the_start(self, rng):
         model = TraceFailureModel([1.0, 2.0, 3.0])
-        sampler = model.trial_block_sampler(3)
-        blocks = sampler.sample_blocks(np.arange(3), self._rngs(3), 2)
+        sampler = model.trial_block_sampler(self._streams(3))
+        blocks = sampler.sample_blocks(np.arange(3), 2)
         assert blocks.tolist() == [[1.0, 2.0]] * 3
 
     def test_cycling_wraps_like_sample_interarrival(self, rng):
         model = TraceFailureModel([1.0, 2.0], cycle=True)
-        sampler = model.trial_block_sampler(1)
-        blocks = sampler.sample_blocks(np.array([0]), self._rngs(1), 5)
+        sampler = model.trial_block_sampler(self._streams(1))
+        blocks = sampler.sample_blocks(np.array([0]), 5)
         expected = [model.sample_interarrival(rng) for _ in range(5)]
         assert blocks[0].tolist() == expected == [1.0, 2.0, 1.0, 2.0, 1.0]
 
     def test_exhaustion_returns_guard_without_advancing(self, rng):
         model = TraceFailureModel([1.0, 2.0], cycle=False)
-        sampler = model.trial_block_sampler(1)
-        first = sampler.sample_blocks(np.array([0]), self._rngs(1), 4)
+        sampler = model.trial_block_sampler(self._streams(1))
+        first = sampler.sample_blocks(np.array([0]), 4)
         guard = TraceFailureModel.EXHAUSTED
         assert first[0].tolist() == [1.0, 2.0, guard, guard]
         # Exhausted draws never advance the cursor: further blocks keep
         # returning the guard, exactly like repeated sample_interarrival.
-        again = sampler.sample_blocks(np.array([0]), self._rngs(1), 2)
+        again = sampler.sample_blocks(np.array([0]), 2)
         assert again[0].tolist() == [guard, guard]
 
     def test_cursors_are_independent_per_trial(self, rng):
         model = TraceFailureModel([1.0, 2.0, 3.0], cycle=True)
-        sampler = model.trial_block_sampler(2)
-        sampler.sample_blocks(np.array([0]), self._rngs(1), 2)  # advance trial 0
-        blocks = sampler.sample_blocks(np.array([0, 1]), self._rngs(2), 2)
+        sampler = model.trial_block_sampler(self._streams(2))
+        sampler.sample_blocks(np.array([0]), 2)  # advance trial 0
+        blocks = sampler.sample_blocks(np.array([0, 1]), 2)
         assert blocks[0].tolist() == [3.0, 1.0]  # resumed where it left off
         assert blocks[1].tolist() == [1.0, 2.0]  # untouched trial starts fresh
 
-    def test_generators_are_never_consumed(self):
+    def test_generators_are_never_consumed(self, monkeypatch):
+        # Replay never draws from a generator, so it builds none at all.
+        import repro.simulation.rng as rng_module
+
+        built = []
+        monkeypatch.setattr(
+            rng_module, "_generator_from_state", lambda row: built.append(row)
+        )
         model = TraceFailureModel([4.0, 5.0])
-        sampler = model.trial_block_sampler(2)
-        rngs = self._rngs(2)
-        states = [rng.bit_generator.state for rng in rngs]
-        sampler.sample_blocks(np.arange(2), rngs, 3)
-        assert [rng.bit_generator.state for rng in rngs] == states
+        sampler = model.trial_block_sampler(self._streams(2))
+        assert sampler.sample_blocks(np.arange(2), 3).tolist() == [
+            [4.0, 5.0, 4.0]
+        ] * 2
+        assert built == []
 
     def test_rejects_non_positive_trials(self):
         with pytest.raises(ValueError, match="trials"):
-            TraceFailureModel([1.0]).trial_block_sampler(0)
+            TraceFailureModel([1.0]).trial_block_sampler(self._streams(0))

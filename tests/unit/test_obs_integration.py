@@ -59,12 +59,12 @@ class TestEnginePhaseMetrics:
         phases = obs.global_registry().get("repro_engine_phase_seconds_total")
         assert phases is None or phases.values() == {}
 
-    def test_enabled_engine_records_all_four_phases(self):
+    def test_enabled_engine_records_all_five_phases(self):
         obs.configure(metrics=True)
         _engine().run_trials(20, seed=7)
         phases = obs.catalog.family("repro_engine_phase_seconds_total")
         recorded = {key[0] for key in phases.values()}
-        assert recorded == {"compile", "sample", "execute", "gather"}
+        assert recorded == {"compile", "derive", "sample", "execute", "gather"}
         assert all(value >= 0.0 for value in phases.values().values())
         runs = obs.catalog.family("repro_engine_runs_total")
         trials = obs.catalog.family("repro_engine_trials_total")
@@ -87,8 +87,42 @@ class TestEnginePhaseMetrics:
         engine_span = records["engine"]
         assert engine_span.parent_id == records["campaign"].span_id
         assert engine_span.args["trials"] == 10
-        for phase in ("sample_seconds", "execute_seconds", "gather_seconds"):
-            assert engine_span.args[phase] >= 0.0
+        for phase in ("derive", "sample", "execute", "gather"):
+            assert engine_span.args[f"{phase}_seconds"] >= 0.0
+
+    def test_disabled_chunked_run_reads_no_clock(self, monkeypatch):
+        import repro.simulation.vectorized as vectorized_module
+
+        class NoClock:
+            @staticmethod
+            def perf_counter():
+                raise AssertionError("disabled engine read the clock")
+
+        obs.configure(metrics=False, trace=False)
+        engine = _engine()
+        monkeypatch.setattr(vectorized_module, "TRIAL_CHUNK", 16)
+        monkeypatch.setattr(vectorized_module, "time", NoClock)
+        assert engine.run_trials(40, seed=5).runs == 40
+
+    def test_chunked_range_is_one_engine_run(self, monkeypatch):
+        import repro.simulation.vectorized as vectorized_module
+
+        obs.configure(metrics=False, trace=False)
+        plain = _engine().run_trials(40, seed=5)
+        monkeypatch.setattr(vectorized_module, "TRIAL_CHUNK", 16)
+        obs.configure(trace=True)
+        traced = _engine().run_trials(40, seed=5)
+        assert traced == plain
+        engine_spans = [
+            r for r in obs.global_tracer().records() if r.name == "engine"
+        ]
+        assert len(engine_spans) == 1
+        assert engine_spans[0].args["trials"] == 40
+        assert engine_spans[0].args["derive_seconds"] > 0.0
+        runs = obs.catalog.family("repro_engine_runs_total")
+        trials = obs.catalog.family("repro_engine_trials_total")
+        assert sum(runs.values().values()) == 1.0
+        assert sum(trials.values().values()) == 40.0
 
 
 class TestShardedCampaignTracing:
