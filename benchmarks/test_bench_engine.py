@@ -257,6 +257,7 @@ def _recorded_speedup(baseline: dict, protocol: str) -> float:
     return float(baseline["protocols"][protocol]["speedup"])
 
 
+@pytest.mark.perf
 @pytest.mark.parametrize("protocol", sorted(SPEEDUP_FLOORS))
 def test_vectorized_speedup_on_sweep_point(protocol):
     # Same best-of-3 policy on both sides so the gated ratio is not biased
@@ -475,6 +476,7 @@ def _interpreter_vs_legacy_timings(runs: int) -> dict:
     return timings
 
 
+@pytest.mark.perf
 def test_interpreter_overhead_within_ceiling():
     runs = 100 if QUICK else 300
     timings = _interpreter_vs_legacy_timings(runs)

@@ -110,6 +110,7 @@ def _time_sharded(engine, trials: int, workers: int) -> float:
 # --------------------------------------------------------------------- #
 # Gate 1: scaling floors on the 100k-trial cell (with bit-identity).
 # --------------------------------------------------------------------- #
+@pytest.mark.perf
 @pytest.mark.parametrize("workers", sorted(SCALING_FLOORS))
 def test_sharded_speedup_floor(workers):
     cores = os.cpu_count() or 1

@@ -109,6 +109,7 @@ def _time_instrumented(engine, trials: int) -> float:
     return time.perf_counter() - start
 
 
+@pytest.mark.perf
 def test_disabled_instrumentation_overhead_gate():
     engine = _engine()
     # Warm both paths once (JIT-free, but page/allocator warmup matters),

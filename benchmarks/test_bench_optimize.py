@@ -23,6 +23,8 @@ from __future__ import annotations
 
 import time
 
+import pytest
+
 from repro import ApplicationWorkload, ResilienceParameters
 from repro.optimize import compute_regime_map, optimize_period, RegimeMapSpec
 from repro.utils import DAY, MINUTE, YEAR
@@ -74,6 +76,7 @@ def test_optimize_period_evaluation_budget():
         )
 
 
+@pytest.mark.perf
 def test_optimize_period_timing_guard():
     parameters, workload = _paper_point()
     optimize_period("PurePeriodicCkpt", parameters, workload)  # warm imports

@@ -96,6 +96,7 @@ def percentile(samples: List[float], q: float) -> float:
     return ordered[index]
 
 
+@pytest.mark.perf
 def test_service_load_replay_and_latency_gate():
     total_requests = 60 if QUICK else 200
     map_spec = RegimeMapSpec(
@@ -189,6 +190,7 @@ def test_service_load_replay_and_latency_gate():
         )
 
 
+@pytest.mark.perf
 def test_background_job_does_not_block_interactive_tiers():
     """A running Monte-Carlo job must not stall answer-cache reads."""
     app = create_app()

@@ -36,6 +36,8 @@ import os
 import time
 from pathlib import Path
 
+import pytest
+
 from repro import ApplicationWorkload, ResilienceParameters
 from repro.campaign import ShardedVectorizedExecutor
 from repro.checkpointing import (
@@ -138,6 +140,7 @@ def _measure() -> dict:
 # --------------------------------------------------------------------- #
 # Gate: lowered storage runs within 10% of flat scalars, bit-identically.
 # --------------------------------------------------------------------- #
+@pytest.mark.perf
 def test_storage_cell_within_flat_overhead_ceiling():
     cell = _measure()
     print(

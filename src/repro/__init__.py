@@ -31,13 +31,16 @@ Running campaigns at scale
 The paper averages 1000 simulated executions per parameter point and sweeps
 the whole (MTBF, alpha) plane.  :mod:`repro.campaign` makes that tractable:
 
-* :class:`~repro.campaign.ParallelMonteCarloExecutor` fans the trials of one
-  Monte-Carlo campaign out over a process pool.  Trial ``i`` draws from the
-  generator of ``SeedSequence(entropy=seed, spawn_key=(i, 0))`` (the first
-  child of the ``i``-th child of the root) exactly like the serial runner,
-  and per-trial samples are re-aggregated in trial order, so the same
-  root seed yields **bit-identical** summary statistics for any worker count
-  (``MonteCarloRunner(parallel=True, workers=N)`` exposes the same knob).
+* :class:`~repro.campaign.ShardedVectorizedExecutor` splits the trials of
+  one Monte-Carlo campaign into one contiguous shard per worker process and
+  runs either engine (event simulator or vectorized) on each shard.  Trial
+  ``i`` draws from the generator of ``SeedSequence(entropy=seed,
+  spawn_key=(i, 0))`` (the first child of the ``i``-th child of the root)
+  exactly like the serial runner, and the shard tables are concatenated in
+  trial order, so the same root seed yields **bit-identical** results for
+  any worker count.  :class:`~repro.campaign.ParallelMonteCarloExecutor` is
+  its ``simulate_once -> MonteCarloResult`` face, and
+  ``MonteCarloRunner(workers=N)`` exposes the same knob.
 * :class:`~repro.campaign.SweepRunner` materialises (MTBF, alpha) grids as
   resumable jobs.  Completed points are stored one-JSON-file-per-point in a
   cache directory, keyed by the parameter scalars, the point's coordinates,
@@ -96,7 +99,6 @@ from repro.campaign import (
     SweepJob,
     SweepResult,
     SweepRunner,
-    run_monte_carlo_parallel,
 )
 from repro.failures import ExponentialFailureModel, FailureTimeline, Platform
 from repro.optimize import (
@@ -163,7 +165,6 @@ __all__ = [
     "TrialTable",
     # Campaign execution
     "ParallelMonteCarloExecutor",
-    "run_monte_carlo_parallel",
     "SweepJob",
     "SweepResult",
     "SweepRunner",

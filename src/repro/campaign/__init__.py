@@ -1,17 +1,18 @@
-"""Campaign execution: parallel Monte-Carlo fan-out and resumable sweeps.
+"""Campaign execution: sharded Monte-Carlo campaigns and resumable sweeps.
 
 The paper's evaluation is built from *campaigns* -- 1000 independent
 simulated executions per parameter point (Section V-A), swept over the
 (MTBF, alpha) plane for the Figure 7 heatmaps.  This package scales that
 structure up:
 
-* :mod:`repro.campaign.executor` -- :class:`ParallelMonteCarloExecutor` runs
-  the trials of one campaign over a process/thread pool in chunks, with each
-  trial's RNG derived exactly as the serial runner derives it, so the same
-  root seed produces bit-identical aggregate statistics for any worker
-  count; :class:`ShardedVectorizedExecutor` gives the across-trials
-  (vectorized) engine the same treatment -- one contiguous trial shard per
-  worker process, bit-identical to the serial vectorized path;
+* :mod:`repro.campaign.executor` -- :class:`ShardedVectorizedExecutor`
+  splits the trial range of one campaign into one contiguous shard per
+  worker process and runs either Monte-Carlo engine (event simulator or
+  vectorized) on it through ``run_trial_range``; each trial's RNG is
+  derived exactly as the serial runner derives it, so the same root seed
+  produces a bit-identical table for any worker count.
+  :class:`ParallelMonteCarloExecutor` is its ``simulate_once ->
+  MonteCarloResult`` face for any single-trial callable;
 * :mod:`repro.campaign.cache` -- :class:`SweepCache`, a crash-tolerant
   one-JSON-file-per-point result store;
 * :mod:`repro.campaign.sweep_runner` -- :class:`SweepRunner` /
@@ -29,7 +30,6 @@ from repro.campaign.executor import (
     ParallelMonteCarloExecutor,
     ShardedVectorizedExecutor,
     resolve_worker_count,
-    run_monte_carlo_parallel,
 )
 from repro.campaign.sweep_runner import (
     CAMPAIGN_PROTOCOLS,
@@ -45,7 +45,6 @@ __all__ = [
     "ParallelMonteCarloExecutor",
     "ShardedVectorizedExecutor",
     "resolve_worker_count",
-    "run_monte_carlo_parallel",
     "CAMPAIGN_PROTOCOLS",
     "GridPoint",
     "SweepJob",

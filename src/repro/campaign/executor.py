@@ -1,24 +1,28 @@
-"""Parallel Monte-Carlo campaign execution.
+"""Monte-Carlo campaign execution: one trial-range executor for both engines.
 
 The paper's validation averages 1000 independent executions per parameter
-point (Section V-A); :func:`repro.simulation.runner.run_monte_carlo` runs
-them one after the other in pure Python.  This module fans the trials out
-over a process (or thread) pool in contiguous index *batches*: each worker
-simulates one batch and returns a single columnar
-:class:`~repro.simulation.table.TrialTable` slice, so inter-process transfer
-cost is one structured-array pickle per batch instead of a Python object per
-trial.  The slices are concatenated in seed (trial) order and summarised
-once, vectorized.
+point (Section V-A).  Both Monte-Carlo engines expose the same entry point,
+``run_trial_range(start, stop, seed) -> TrialTable``: the event simulators
+(:class:`~repro.core.protocols.base.ProtocolSimulator`) walk the range one
+trial at a time, the across-trials engine
+(:class:`~repro.simulation.vectorized.VectorizedPhasedSimulator`) advances
+it as arrays.  :class:`ShardedVectorizedExecutor` splits a campaign into one
+contiguous trial shard per worker, runs the shards in worker processes (or
+in process, with ``backend="serial"``) and concatenates the columnar
+:class:`~repro.simulation.table.TrialTable` slices in trial order, so
+inter-process transfer is one engine pickle and one structured-array pickle
+per shard.  :class:`ParallelMonteCarloExecutor` is the
+``simulate_once -> MonteCarloResult`` face of the same shards, for any
+single-trial callable.
 
 Determinism guarantee
 ---------------------
 Trial ``i`` draws its random generator from
 ``RandomStreams(seed).generator_for_trial(i)`` -- the exact derivation the
-serial path uses -- and the batch tables are reassembled in trial order
-before the summaries are computed with the same vectorized reductions as
-the serial runner.  The same root seed therefore produces a bit-identical
-:class:`~repro.simulation.runner.MonteCarloResult` for any worker count,
-batch size or backend (the property tests assert ``==``, not approximate
+serial path uses -- whichever shard runs it, so shard boundaries are
+invisible: the same root seed produces a bit-identical table (and
+:class:`~repro.simulation.runner.MonteCarloResult`) for any worker count,
+backend or engine (the property tests assert ``==``, not approximate
 equality).  With ``seed=None`` each trial draws fresh OS entropy, exactly
 like the serial path, and no reproducibility is promised.
 
@@ -34,9 +38,9 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
-from dataclasses import dataclass, field
-from typing import Any, List, Mapping, Optional
+from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass
+from typing import Any, Mapping, Optional
 
 import repro.obs as _obs
 
@@ -48,7 +52,6 @@ from repro.simulation.runner import (
     simulate_trial_range,
 )
 from repro.simulation.table import TrialTable
-from repro.simulation.trace import ExecutionTrace
 from repro.simulation.vectorized import (
     ENGINE_BACKENDS,
     VectorizedBackendError,
@@ -61,182 +64,10 @@ __all__ = [
     "ShardedVectorizedExecutor",
     "resolve_worker_count",
     "run_campaign",
-    "run_monte_carlo_parallel",
 ]
 
-#: Supported execution backends.
-BACKENDS = ("process", "thread", "serial")
-
-#: Backends of :class:`ShardedVectorizedExecutor` ("thread" is pointless:
-#: the vectorized engine is pure NumPy under the GIL).
-VECTOR_BACKENDS = ("process", "serial")
-
-
-@dataclass
-class _BatchResult:
-    """One contiguous batch of a campaign, as a columnar table slice."""
-
-    start: int
-    table: TrialTable
-    traces: List[ExecutionTrace] = field(default_factory=list)
-
-
-def _simulate_batch(
-    simulate_once: SimulateOnce,
-    seed: Optional[int],
-    start: int,
-    stop: int,
-    keep_traces: bool,
-) -> _BatchResult:
-    """Run trials ``start..stop-1`` into one table slice (module-level so
-    process pools can pickle it)."""
-    table, traces = simulate_trial_range(
-        simulate_once, seed=seed, start=start, stop=stop, keep_traces=keep_traces
-    )
-    return _BatchResult(start=start, table=table, traces=traces)
-
-
-class ParallelMonteCarloExecutor:
-    """Fan Monte-Carlo trials out over a worker pool, deterministically.
-
-    Parameters
-    ----------
-    workers:
-        Worker count; ``None`` uses ``os.cpu_count()``.  A single worker (or
-        the ``"serial"`` backend) falls back to the serial runner -- the
-        result is identical either way, by the determinism guarantee.
-    backend:
-        ``"process"`` (default; ``simulate_once`` must be picklable, which
-        every protocol simulator is), ``"thread"`` (for non-picklable
-        callables; pure-Python simulators gain no speed under the GIL) or
-        ``"serial"``.
-    chunk_size:
-        Trials per pool task (batch).  ``None`` splits the campaign into
-        about four batches per worker, amortising task dispatch without
-        starving the pool.
-    """
-
-    def __init__(
-        self,
-        *,
-        workers: Optional[int] = None,
-        backend: str = "process",
-        chunk_size: Optional[int] = None,
-    ) -> None:
-        if backend not in BACKENDS:
-            raise ValueError(
-                f"unknown backend {backend!r}; expected one of {BACKENDS}"
-            )
-        if workers is not None and workers <= 0:
-            raise ValueError(f"workers must be a positive integer, got {workers}")
-        if chunk_size is not None and chunk_size <= 0:
-            raise ValueError(
-                f"chunk_size must be a positive integer, got {chunk_size}"
-            )
-        self._workers = workers
-        self._backend = backend
-        self._chunk_size = chunk_size
-
-    # ------------------------------------------------------------------ #
-    @property
-    def workers(self) -> int:
-        """Effective worker count."""
-        if self._workers is not None:
-            return self._workers
-        return max(1, os.cpu_count() or 1)
-
-    @property
-    def backend(self) -> str:
-        """The configured execution backend."""
-        return self._backend
-
-    def chunk_ranges(self, runs: int) -> list[tuple[int, int]]:
-        """The ``[start, stop)`` trial batches the campaign is split into."""
-        size = self._chunk_size
-        if size is None:
-            size = max(1, math.ceil(runs / (self.workers * 4)))
-        return [(start, min(start + size, runs)) for start in range(0, runs, size)]
-
-    # ------------------------------------------------------------------ #
-    def run(
-        self,
-        simulate_once: SimulateOnce,
-        *,
-        runs: int,
-        seed: Optional[int] = None,
-        keep_traces: bool = False,
-        confidence: float = 0.95,
-    ) -> MonteCarloResult:
-        """Run the campaign; same signature and result as ``run_monte_carlo``."""
-        if runs <= 0:
-            raise ValueError(f"runs must be a positive integer, got {runs}")
-        if _obs.tracing():
-            with _obs.span(
-                "campaign",
-                category="campaign",
-                engine="event",
-                backend=self._backend,
-                runs=int(runs),
-            ):
-                return self._run_batches(
-                    simulate_once,
-                    runs=runs,
-                    seed=seed,
-                    keep_traces=keep_traces,
-                    confidence=confidence,
-                )
-        return self._run_batches(
-            simulate_once,
-            runs=runs,
-            seed=seed,
-            keep_traces=keep_traces,
-            confidence=confidence,
-        )
-
-    def _run_batches(
-        self,
-        simulate_once: SimulateOnce,
-        *,
-        runs: int,
-        seed: Optional[int],
-        keep_traces: bool,
-        confidence: float,
-    ) -> MonteCarloResult:
-        if self._backend == "serial" or self.workers == 1:
-            return run_monte_carlo(
-                simulate_once,
-                runs=runs,
-                seed=seed,
-                keep_traces=keep_traces,
-                confidence=confidence,
-            )
-        batches = self.chunk_ranges(runs)
-        with self._make_pool(min(self.workers, len(batches))) as pool:
-            futures = [
-                pool.submit(_simulate_batch, simulate_once, seed, start, stop, keep_traces)
-                for start, stop in batches
-            ]
-            results = [future.result() for future in futures]
-        results.sort(key=lambda batch: batch.start)
-
-        table = TrialTable.concatenate([batch.table for batch in results])
-        traces: list[ExecutionTrace] = []
-        for batch in results:
-            traces.extend(batch.traces)
-        return MonteCarloResult.from_table(
-            table, confidence=confidence, traces=traces
-        )
-
-    def _make_pool(self, max_workers: int) -> Executor:
-        if self._backend == "process":
-            return ProcessPoolExecutor(max_workers=max_workers)
-        return ThreadPoolExecutor(max_workers=max_workers)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return (
-            f"ParallelMonteCarloExecutor(workers={self._workers!r}, "
-            f"backend={self._backend!r}, chunk_size={self._chunk_size!r})"
-        )
+#: Execution backends: worker processes, or the same shards in process.
+BACKENDS = ("process", "serial")
 
 
 def resolve_worker_count(workers, trials: int) -> int:
@@ -261,7 +92,7 @@ def resolve_worker_count(workers, trials: int) -> int:
     return min(resolved, int(trials))
 
 
-def _run_vectorized_shard(engine, seed, start, stop, trace=False):
+def _run_shard(engine, seed, start, stop, trace=False):
     """Execute one contiguous trial shard (module-level so process pools
     can pickle it).  The engine reconstructs nothing: the compiled schedule
     arrives once per worker inside the pickled engine.
@@ -289,13 +120,14 @@ def _run_vectorized_shard(engine, seed, start, stop, trace=False):
 
 
 class ShardedVectorizedExecutor:
-    """Fan a vectorized campaign's trial range out over worker processes.
+    """Fan a campaign's trial range out over worker processes.
 
     Splits ``runs`` trials into one contiguous shard per worker and runs
     ``engine.run_trial_range(start, stop, seed)`` per shard, so each worker
     pays one engine pickle (the compiled schedule ships once) and returns
     one columnar :class:`~repro.simulation.table.TrialTable` slice.  Slices
-    are concatenated in trial order.
+    are concatenated in trial order.  ``engine`` is either Monte-Carlo
+    engine: an event simulator or the vectorized engine.
 
     Determinism guarantee
     ---------------------
@@ -304,17 +136,17 @@ class ShardedVectorizedExecutor:
     shard executes it, and stateful block samplers (trace replay) rewind
     per trial, so shard boundaries are invisible: the result is
     bit-identical (``==`` on every table column) to the serial
-    ``engine.run_trials(runs, seed)`` for **any** worker count -- the same
-    guarantee :class:`ParallelMonteCarloExecutor` gives the event walk.
+    ``engine.run_trial_range(0, runs, seed)`` for **any** worker count.
 
     Parameters
     ----------
     workers:
-        Worker count; ``None`` resolves like ``--workers auto`` (see
-        :func:`resolve_worker_count`).  One worker runs serially in
-        process with no pool.
+        Worker count; ``None`` or ``"auto"`` resolves through
+        :func:`resolve_worker_count`.  One worker runs serially in process
+        with no pool.
     backend:
-        ``"process"`` (default) or ``"serial"`` -- the latter executes the
+        ``"process"`` (default; the engine must be picklable, which every
+        protocol simulator is) or ``"serial"`` -- the latter executes the
         same shard decomposition in-process, which pins the shard-boundary
         arithmetic in fast tests without pool start-up cost.
     """
@@ -322,12 +154,12 @@ class ShardedVectorizedExecutor:
     def __init__(
         self,
         *,
-        workers: Optional[int] = None,
+        workers: Optional[int | str] = None,
         backend: str = "process",
     ) -> None:
-        if backend not in VECTOR_BACKENDS:
+        if backend not in BACKENDS:
             raise ValueError(
-                f"unknown backend {backend!r}; expected one of {VECTOR_BACKENDS}"
+                f"unknown backend {backend!r}; expected one of {BACKENDS}"
             )
         if workers is not None and workers != "auto" and int(workers) <= 0:
             raise ValueError(f"workers must be a positive integer, got {workers}")
@@ -348,12 +180,7 @@ class ShardedVectorizedExecutor:
         return self._backend
 
     def shard_ranges(self, runs: int) -> list[tuple[int, int]]:
-        """The ``[start, stop)`` shards: one contiguous block per worker.
-
-        Unlike the event executor's ~4 batches per worker, one shard per
-        worker minimises engine pickles -- vectorized shards have uniform
-        cost, so load balancing buys nothing.
-        """
+        """The ``[start, stop)`` shards: one contiguous block per worker."""
         if runs <= 0:
             raise ValueError(f"runs must be a positive integer, got {runs}")
         workers = resolve_worker_count(self._workers, runs)
@@ -375,7 +202,7 @@ class ShardedVectorizedExecutor:
         with _obs.span(
             "campaign",
             category="campaign",
-            engine="vectorized",
+            engine=getattr(engine, "engine_kind", "event"),
             backend=self._backend,
             protocol=getattr(engine, "protocol", None),
             runs=int(runs),
@@ -394,7 +221,7 @@ class ShardedVectorizedExecutor:
         if len(shards) == 1:
             # In-process: an engine span (if tracing) nests under the
             # campaign span through the thread-local stack.
-            return engine.run_trials(runs, seed)
+            return engine.run_trial_range(0, runs, seed)
         tracing = campaign is not None
         if self._backend == "serial":
             results = []
@@ -412,15 +239,11 @@ class ShardedVectorizedExecutor:
                             (start, engine.run_trial_range(start, stop, seed))
                         )
                 else:
-                    results.append(
-                        _run_vectorized_shard(engine, seed, start, stop)
-                    )
+                    results.append(_run_shard(engine, seed, start, stop))
         else:
             with ProcessPoolExecutor(max_workers=len(shards)) as pool:
                 futures = [
-                    pool.submit(
-                        _run_vectorized_shard, engine, seed, start, stop, tracing
-                    )
+                    pool.submit(_run_shard, engine, seed, start, stop, tracing)
                     for start, stop in shards
                 ]
                 gathered = [future.result() for future in futures]
@@ -442,28 +265,76 @@ class ShardedVectorizedExecutor:
         )
 
 
-def run_monte_carlo_parallel(
-    simulate_once: SimulateOnce,
-    *,
-    runs: int,
-    seed: Optional[int] = None,
-    keep_traces: bool = False,
-    confidence: float = 0.95,
-    workers: Optional[int] = None,
-    backend: str = "process",
-    chunk_size: Optional[int] = None,
-) -> MonteCarloResult:
-    """Functional shortcut: build an executor and run one campaign."""
-    executor = ParallelMonteCarloExecutor(
-        workers=workers, backend=backend, chunk_size=chunk_size
-    )
-    return executor.run(
-        simulate_once,
-        runs=runs,
-        seed=seed,
-        keep_traces=keep_traces,
-        confidence=confidence,
-    )
+@dataclass(frozen=True)
+class _SimulateOnceEngine:
+    """A single-trial callable as a trial-range engine (picklable whenever
+    the callable is)."""
+
+    simulate_once: SimulateOnce
+    engine_kind = "event"
+
+    def run_trial_range(
+        self, start: int, stop: int, seed: Optional[int] = None
+    ) -> TrialTable:
+        table, _ = simulate_trial_range(
+            self.simulate_once, seed=seed, start=start, stop=stop
+        )
+        return table
+
+
+class ParallelMonteCarloExecutor:
+    """Run a ``simulate_once`` campaign over the trial-range shards.
+
+    Same signature and result as
+    :func:`~repro.simulation.runner.run_monte_carlo`, with the trials split
+    exactly as :class:`ShardedVectorizedExecutor` splits an engine's, so the
+    result is bit-identical to the serial runner for any worker count.
+    ``workers`` and ``backend`` are those of
+    :class:`ShardedVectorizedExecutor`.  ``keep_traces=True`` runs in
+    process through ``run_monte_carlo``: the traces stay where they are
+    made.
+    """
+
+    def __init__(
+        self,
+        *,
+        workers: Optional[int | str] = None,
+        backend: str = "process",
+    ) -> None:
+        self._shards = ShardedVectorizedExecutor(workers=workers, backend=backend)
+
+    @property
+    def workers(self) -> int:
+        """Effective worker count before the per-campaign trial cap."""
+        return self._shards.workers
+
+    @property
+    def backend(self) -> str:
+        """The configured execution backend."""
+        return self._shards.backend
+
+    def run(
+        self,
+        simulate_once: SimulateOnce,
+        *,
+        runs: int,
+        seed: Optional[int] = None,
+        keep_traces: bool = False,
+        confidence: float = 0.95,
+    ) -> MonteCarloResult:
+        """Run the campaign; same signature and result as ``run_monte_carlo``."""
+        if keep_traces:
+            return run_monte_carlo(
+                simulate_once,
+                runs=runs,
+                seed=seed,
+                keep_traces=True,
+                confidence=confidence,
+            )
+        table = self._shards.run(
+            _SimulateOnceEngine(simulate_once), runs=runs, seed=seed
+        )
+        return MonteCarloResult.from_table(table, confidence=confidence)
 
 
 def run_campaign(
@@ -478,8 +349,7 @@ def run_campaign(
     failure_model: Any = None,
     law: str = "exponential",
     knobs: Optional[Mapping[str, Any]] = None,
-    executor: Optional[ParallelMonteCarloExecutor] = None,
-    vector_executor: Optional[ShardedVectorizedExecutor] = None,
+    executor: Optional[ShardedVectorizedExecutor] = None,
 ) -> TrialTable:
     """Run one protocol's Monte-Carlo campaign on the selected backend.
 
@@ -493,47 +363,37 @@ def run_campaign(
     event simulator.  ``knobs`` are the protocol's constructor options
     (periods, safeguard, ...), passed to whichever engine runs.
 
-    Vectorized campaigns shard over ``vector_executor`` when one is given
-    (in process otherwise); event campaigns fan out over ``executor`` (a
-    serial one otherwise).  The engines are bit-identical trial for trial,
-    so the returned :class:`~repro.simulation.table.TrialTable` does not
-    depend on the backend.
+    Either engine shards its trial range over ``executor`` (one worker in
+    process when none is given).  The engines are bit-identical trial for
+    trial, so the returned :class:`~repro.simulation.table.TrialTable` does
+    not depend on the backend.
     """
     if backend not in ENGINE_BACKENDS:
         raise ValueError(
             f"unknown engine backend {backend!r}; expected one of {ENGINE_BACKENDS}"
         )
     entry = resolve_protocol(protocol)
-    knobs = dict(knobs or {})
+    engine_cls = entry.simulator_cls
     if backend != "event":
         obstacle = vectorized_backend_obstacle(
             entry.name, law, None if failure_model is None else type(failure_model)
         )
         if obstacle is None:
-            engine = entry.vectorized_cls(
-                parameters,
-                workload,
-                failure_model=failure_model,
-                max_slowdown=max_slowdown,
-                **knobs,
-            )
-            if vector_executor is None:
-                return engine.run_trials(runs, seed=seed)
-            return vector_executor.run(engine, runs=runs, seed=seed)
-        if backend == "vectorized":
+            engine_cls = entry.vectorized_cls
+        elif backend == "vectorized":
             raise VectorizedBackendError(
                 f"backend='vectorized' cannot run this campaign: {obstacle}; "
                 "use backend='event' or backend='auto'"
             )
-        note_backend_fallback(obstacle)
-    simulator = entry.simulator_cls(
+        else:
+            note_backend_fallback(obstacle)
+    engine = engine_cls(
         parameters,
         workload,
         failure_model=failure_model,
         max_slowdown=max_slowdown,
-        **knobs,
+        **dict(knobs or {}),
     )
-    campaign = (executor or ParallelMonteCarloExecutor(workers=1)).run(
-        simulator.simulate_once, runs=runs, seed=seed
+    return (executor or ShardedVectorizedExecutor(workers=1)).run(
+        engine, runs=runs, seed=seed
     )
-    return campaign.table

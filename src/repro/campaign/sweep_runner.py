@@ -11,7 +11,7 @@ evaluates the grid lazily and forgets everything afterwards.  The
 * the analytical wastes of uncached points are evaluated in one vectorised
   NumPy pass (:mod:`repro.core.analytical.grid`) instead of point by point;
 * when a simulation campaign is requested, the Monte-Carlo trials of each
-  point run through :class:`~repro.campaign.executor.ParallelMonteCarloExecutor`,
+  point are sharded by :class:`~repro.campaign.executor.ShardedVectorizedExecutor`,
   whose results are bit-identical to the serial runner for any worker count
   -- cache entries written by a parallel run and a serial run are
   interchangeable.
@@ -29,11 +29,7 @@ import numpy as np
 import repro.obs as _obs
 from repro.application.workload import ApplicationWorkload
 from repro.campaign.cache import SweepCache
-from repro.campaign.executor import (
-    ParallelMonteCarloExecutor,
-    ShardedVectorizedExecutor,
-    run_campaign,
-)
+from repro.campaign.executor import ShardedVectorizedExecutor, run_campaign
 from repro.core.analytical.grid import GRID_PROTOCOLS, waste_points
 from repro.core.parameters import ResilienceParameters
 from repro.core.registry import (
@@ -342,14 +338,11 @@ class SweepRunner:
         Consult existing cache entries (default).  ``False`` recomputes every
         point (entries are still rewritten, refreshing the cache).
     workers / backend:
-        Worker-pool settings for the Monte-Carlo trials of simulated points.
-        Event-backend campaigns fan out through
-        :class:`~repro.campaign.executor.ParallelMonteCarloExecutor`;
-        vectorized campaigns shard their trial range through
-        :class:`~repro.campaign.executor.ShardedVectorizedExecutor` (which
-        only distinguishes serial from process execution, so ``"thread"``
-        runs those campaigns serially).  Both are bit-identical to one
-        worker for any count.
+        Worker-pool settings for the Monte-Carlo trials of simulated points:
+        every campaign, on either engine, shards its trial range through
+        :class:`~repro.campaign.executor.ShardedVectorizedExecutor`
+        (``backend`` is ``"process"`` or ``"serial"``), bit-identically to
+        one worker for any count.
     vectorized:
         Evaluate the analytical wastes of uncached points in one NumPy
         broadcast pass (default) instead of per-point model objects.  Both
@@ -367,12 +360,8 @@ class SweepRunner:
     ) -> None:
         self._cache = SweepCache(cache_dir) if cache_dir is not None else None
         self._resume = bool(resume)
-        self._executor = ParallelMonteCarloExecutor(
+        self._executor = ShardedVectorizedExecutor(
             workers=1 if workers is None else workers, backend=backend
-        )
-        self._vector_executor = ShardedVectorizedExecutor(
-            workers=1 if workers is None else workers,
-            backend="process" if backend == "process" else "serial",
         )
         self._vectorized = bool(vectorized)
 
@@ -520,7 +509,6 @@ class SweepRunner:
                 failure_model=failure_model,
                 law=job.failure_model,
                 executor=self._executor,
-                vector_executor=self._vector_executor,
             )
             for name in job.protocols
         }

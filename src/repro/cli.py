@@ -569,7 +569,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--mc-workers",
         type=_workers_arg,
         default=1,
-        help="shard-pool width of each vectorized Monte-Carlo campaign "
+        help="shard-pool width of each Monte-Carlo campaign "
         "(a count, or 'auto' for the machine's cores; default 1 = serial)",
     )
     serve.add_argument(

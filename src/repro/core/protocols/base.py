@@ -52,7 +52,9 @@ from repro.simulation.schedule import (
 from repro.simulation.schedule import (
     _account_abft_progress as _schedule_account_abft_progress,
 )
+from repro.simulation.runner import simulate_trial_range
 from repro.simulation.schedule import periodic_chunk_size
+from repro.simulation.table import TrialTable
 from repro.simulation.trace import ExecutionTrace, TraceRecorder
 
 __all__ = ["ProtocolSimulator", "SimulationHorizonExceeded"]
@@ -115,6 +117,10 @@ class ProtocolSimulator:
 
     #: Human-readable protocol name (set by subclasses).
     name: str = "protocol"
+
+    #: The engine a campaign span names (the across-trials engine says
+    #: "vectorized").
+    engine_kind = "event"
 
     #: Whether the protocol writes checkpoints at all.  NoFT sets this to
     #: ``False``: it neither accepts a storage stack nor triggers the
@@ -218,6 +224,26 @@ class ProtocolSimulator:
     def simulate_once(self, rng: np.random.Generator) -> ExecutionTrace:
         """Adapter matching :func:`repro.simulation.runner.run_monte_carlo`."""
         return self.simulate(rng=rng)
+
+    @property
+    def protocol(self) -> str:
+        """Protocol name stamped on traces and result tables."""
+        return self.name
+
+    def run_trial_range(
+        self, start: int, stop: int, seed: Optional[int] = None
+    ) -> TrialTable:
+        """Simulate the contiguous campaign slice ``[start, stop)``.
+
+        The across-trials engine's entry point, walked one trial at a time:
+        trial ``i`` runs on ``RandomStreams(seed).generator_for_trial(i)``,
+        so :class:`~repro.campaign.executor.ShardedVectorizedExecutor`
+        shards either engine into the same bit-identical table.
+        """
+        table, _ = simulate_trial_range(
+            self.simulate_once, seed=seed, start=start, stop=stop
+        )
+        return table
 
     # ------------------------------------------------------------------ #
     # To be provided by concrete protocols

@@ -116,7 +116,6 @@ def run_figure7(
     workers: Optional[int] = None,
     cache_dir: Optional[str | Path] = None,
     resume: bool = True,
-    vectorized: bool = True,
 ) -> Figure7Result:
     """Run the Figure 7 experiment.
 
@@ -145,10 +144,6 @@ def run_figure7(
     resume:
         Consult existing cache entries (default).  ``False`` recomputes the
         full grid, refreshing the cache.
-    vectorized:
-        Evaluate the analytical heatmaps in one NumPy broadcast pass
-        (default) instead of per-point model objects; both paths are
-        bit-identical.
     """
     config = config or paper_figure7_config()
     spec = config.to_scenario(
@@ -162,7 +157,6 @@ def run_figure7(
         workers=workers,
         cache_dir=cache_dir,
         resume=resume,
-        vectorized=vectorized,
     )
     rows = tuple(
         Figure7Row(

@@ -6,9 +6,10 @@ paper validates that model against.  :func:`refine_period` closes the loop:
 starting from the analytical optimum it evaluates a small geometric fan of
 candidate periods with real campaigns -- through the vectorized across-trials
 engine where the (protocol, failure law) pair supports it, through the event
-simulators fanned over :class:`~repro.campaign.executor.ParallelMonteCarloExecutor`
-otherwise -- and returns the candidate with the lowest simulated mean waste,
-optionally narrowing the fan around the winner for further rounds.
+simulators otherwise, either one sharded over
+:class:`~repro.campaign.executor.ShardedVectorizedExecutor` -- and returns
+the candidate with the lowest simulated mean waste, optionally narrowing the
+fan around the winner for further rounds.
 
 Every candidate campaign is cached in a
 :class:`~repro.campaign.cache.SweepCache` under a key covering the parameter
@@ -29,11 +30,7 @@ from typing import Any, Dict, Mapping, Optional, Tuple
 import repro.obs as _obs
 from repro.application.workload import ApplicationWorkload
 from repro.campaign.cache import SweepCache
-from repro.campaign.executor import (
-    ParallelMonteCarloExecutor,
-    ShardedVectorizedExecutor,
-    run_campaign,
-)
+from repro.campaign.executor import ShardedVectorizedExecutor, run_campaign
 from repro.core.parameters import ResilienceParameters
 from repro.core.registry import (
     create_failure_model,
@@ -169,8 +166,7 @@ def simulate_at_periods(
     runs: int,
     seed: Optional[int],
     backend: str = "auto",
-    executor: Optional[ParallelMonteCarloExecutor] = None,
-    vector_executor: Optional[ShardedVectorizedExecutor] = None,
+    executor: Optional[ShardedVectorizedExecutor] = None,
     failure_model: str = "exponential",
     failure_params: Optional[Mapping[str, Any]] = None,
     max_slowdown: float = DEFAULT_MAX_SLOWDOWN,
@@ -182,10 +178,9 @@ def simulate_at_periods(
     ``"vectorized"`` requires a registered schedule compiler and a
     registry-flagged vectorized law (else a
     :class:`~repro.simulation.vectorized.VectorizedBackendError` names the
-    obstacle), ``"auto"`` falls back to the event simulators fanned over
-    ``executor``.  Vectorized campaigns shard their trial range over
-    ``vector_executor`` when one is given (serial otherwise) --
-    bit-identical either way.
+    obstacle), ``"auto"`` falls back to the event simulators.  Either
+    engine shards its trial range over ``executor`` when one is given
+    (serial otherwise) -- bit-identical either way.
 
     ``simulator_kwargs`` carries protocol options beyond the periods (e.g.
     the composite's ``safeguard``) into the engine constructors, following
@@ -211,7 +206,6 @@ def simulate_at_periods(
         law=law,
         knobs={**dict(simulator_kwargs or {}), **dict(periods)},
         executor=executor,
-        vector_executor=vector_executor,
     )
     return table.summary_dict()
 
@@ -240,7 +234,6 @@ def refine_period(
     seed: Optional[int] = 2014,
     backend: str = "auto",
     workers: Optional[int] = None,
-    pool_backend: str = "process",
     cache_dir: Optional["str | Path"] = None,
     resume: bool = True,
     span: float = 2.0,
@@ -252,8 +245,7 @@ def refine_period(
     simulator_kwargs: Optional[Mapping[str, Any]] = None,
     max_slowdown: float = DEFAULT_MAX_SLOWDOWN,
     analytical: Optional[PeriodOptimum] = None,
-    executor: Optional[ParallelMonteCarloExecutor] = None,
-    vector_executor: Optional[ShardedVectorizedExecutor] = None,
+    executor: Optional[ShardedVectorizedExecutor] = None,
 ) -> RefinedOptimum:
     """Re-optimize a protocol's period against the Monte-Carlo engine.
 
@@ -267,13 +259,10 @@ def refine_period(
     backend:
         Monte-Carlo engine: ``"auto"`` (default; vectorized where supported,
         event elsewhere), ``"vectorized"`` or ``"event"``.
-    workers / pool_backend:
-        Worker-pool settings.  Event-backend campaigns fan out through
-        :class:`~repro.campaign.executor.ParallelMonteCarloExecutor`;
-        vectorized campaigns shard their trial range through
-        :class:`~repro.campaign.executor.ShardedVectorizedExecutor`
-        (process pools only, so a non-``"process"`` ``pool_backend`` runs
-        them serially).  Bit-identical for any worker count.
+    workers:
+        Worker processes each candidate campaign's trial range is sharded
+        over (:class:`~repro.campaign.executor.ShardedVectorizedExecutor`,
+        either engine).  Bit-identical for any worker count.
     cache_dir / resume:
         Candidate-campaign cache directory (``None`` disables caching) and
         whether to consult existing entries, exactly like the sweep runner
@@ -298,12 +287,10 @@ def refine_period(
         in both to keep the analytical and simulated configurations aligned.
     analytical:
         Reuse a precomputed analytical optimum instead of recomputing it.
-    executor / vector_executor:
-        Reuse existing executors (:class:`ParallelMonteCarloExecutor` for
-        event-backend campaigns, :class:`ShardedVectorizedExecutor` for
-        vectorized ones) instead of constructing them from ``workers`` /
-        ``pool_backend`` (the advisor service's background jobs share
-        executors this way).
+    executor:
+        Reuse an existing :class:`ShardedVectorizedExecutor` instead of
+        constructing one from ``workers`` (the advisor service's background
+        jobs share one executor this way).
     """
     if points <= 0 or rounds <= 0:
         raise ValueError("points and rounds must be positive")
@@ -326,13 +313,8 @@ def refine_period(
 
     cache = SweepCache(cache_dir) if cache_dir is not None else None
     if executor is None:
-        executor = ParallelMonteCarloExecutor(
-            workers=1 if workers is None else workers, backend=pool_backend
-        )
-    if vector_executor is None:
-        vector_executor = ShardedVectorizedExecutor(
-            workers=1 if workers is None else workers,
-            backend="process" if pool_backend == "process" else "serial",
+        executor = ShardedVectorizedExecutor(
+            workers=1 if workers is None else workers
         )
     law = resolve_failure_model(failure_model).name
     law_params = dict(failure_params or {})
@@ -383,7 +365,6 @@ def refine_period(
                         seed=seed,
                         backend=backend,
                         executor=executor,
-                        vector_executor=vector_executor,
                         failure_model=law,
                         failure_params=law_params,
                         max_slowdown=max_slowdown,

@@ -18,11 +18,10 @@ data: a grid over
 where every cell optimizes every registered protocol numerically
 (:func:`~repro.optimize.period.optimize_period`), records the per-protocol
 optimal periods and minimal wastes, optionally validates the ranking with
-Monte-Carlo campaigns (vectorized engine sharded over
-:class:`~repro.campaign.executor.ShardedVectorizedExecutor` where supported,
-event simulators fanned over
-:class:`~repro.campaign.executor.ParallelMonteCarloExecutor` otherwise),
-and names the winning protocol.
+Monte-Carlo campaigns (vectorized engine where supported, event
+simulators otherwise, either one sharded over
+:class:`~repro.campaign.executor.ShardedVectorizedExecutor`), and names the
+winning protocol.
 
 Cells are cached one JSON file each
 (:class:`~repro.campaign.cache.SweepCache`), so an interrupted map resumes,
@@ -41,10 +40,7 @@ from typing import Any, Dict, Iterator, Mapping, Optional, Tuple
 
 from repro.application.workload import ApplicationWorkload
 from repro.campaign.cache import SweepCache
-from repro.campaign.executor import (
-    ParallelMonteCarloExecutor,
-    ShardedVectorizedExecutor,
-)
+from repro.campaign.executor import ShardedVectorizedExecutor
 from repro.checkpointing.stack import StorageStack
 from repro.core.parameters import ResilienceParameters
 from repro.core.registry import build_storage, resolve_protocol
@@ -684,8 +680,7 @@ def _evaluate_cell(
     node_mtbf: float,
     checkpoint: Any,
     phi: float,
-    executor: ParallelMonteCarloExecutor,
-    vector_executor: Optional[ShardedVectorizedExecutor] = None,
+    executor: ShardedVectorizedExecutor,
 ) -> Dict[str, Any]:
     """Evaluate one cell into its cacheable plain-data form.
 
@@ -719,7 +714,6 @@ def _evaluate_cell(
                     seed=spec.seed,
                     backend=spec.backend,
                     executor=executor,
-                    vector_executor=vector_executor,
                     max_slowdown=spec.max_slowdown,
                 )
                 entry["simulated_waste"] = summary.get("waste_mean")
@@ -758,7 +752,6 @@ def compute_regime_map(
     spec: RegimeMapSpec,
     *,
     workers: Optional[int] = None,
-    pool_backend: str = "process",
     cache_dir: Optional["str | Path"] = None,
     resume: bool = True,
 ) -> RegimeMap:
@@ -768,24 +761,16 @@ def compute_regime_map(
     ----------
     spec:
         The map description.
-    workers / pool_backend:
-        Worker-pool settings for the campaigns of simulated maps:
-        event-backend cells fan their trials over a
-        :class:`ParallelMonteCarloExecutor`, vectorized cells shard their
-        trial range over a :class:`ShardedVectorizedExecutor` (process
-        pools only; analytical cells are CPU-light and run inline).
+    workers:
+        Worker processes the campaigns of simulated maps shard their trial
+        ranges over (:class:`ShardedVectorizedExecutor`, either engine;
+        analytical cells are CPU-light and run inline).
     cache_dir / resume:
         Per-cell cache directory and whether to consult existing entries;
         semantics identical to :class:`~repro.campaign.sweep_runner.SweepRunner`.
     """
     cache = SweepCache(cache_dir) if cache_dir is not None else None
-    executor = ParallelMonteCarloExecutor(
-        workers=1 if workers is None else workers, backend=pool_backend
-    )
-    vector_executor = ShardedVectorizedExecutor(
-        workers=1 if workers is None else workers,
-        backend="process" if pool_backend == "process" else "serial",
-    )
+    executor = ShardedVectorizedExecutor(workers=1 if workers is None else workers)
     cells: list[RegimeCell] = []
     computed = 0
     cached_count = 0
@@ -793,7 +778,7 @@ def compute_regime_map(
         key = spec.cell_key(*coords)
         value = cache.load(key) if (cache is not None and resume) else None
         if value is None:
-            value = _evaluate_cell(spec, *coords, executor, vector_executor)
+            value = _evaluate_cell(spec, *coords, executor)
             if cache is not None:
                 cache.store(key, value)
             computed += 1

@@ -133,7 +133,6 @@ def run_scenario(
     workers: Optional[int] = None,
     cache_dir: Optional["str | Path"] = None,
     resume: bool = True,
-    vectorized: bool = True,
 ) -> ScenarioResult:
     """Run a scenario spec end-to-end and return its grid.
 
@@ -145,11 +144,9 @@ def run_scenario(
         Override the spec's ``simulation`` section (CLI flags land here);
         ``None`` keeps the spec's values.  ``backend`` selects the
         Monte-Carlo engine (``"event"``, ``"vectorized"`` or ``"auto"``).
-    workers / cache_dir / resume / vectorized:
+    workers / cache_dir / resume:
         Campaign execution knobs, as in
-        :class:`~repro.campaign.sweep_runner.SweepRunner` (``vectorized``
-        here refers to the *analytical grid* evaluation, not the
-        Monte-Carlo engine backend).
+        :class:`~repro.campaign.sweep_runner.SweepRunner`.
     """
     simulation = spec.simulation
     changes = {}
@@ -179,7 +176,6 @@ def run_scenario(
         cache_dir=cache_dir,
         resume=resume,
         workers=workers,
-        vectorized=vectorized,
     )
     sweep = runner.run(scenario_sweep_job(spec))
     return ScenarioResult(spec=spec, sweep=sweep)

@@ -49,10 +49,7 @@ from typing import Any, Callable, Dict, Mapping, Optional, Sequence, Tuple
 
 import repro.obs as _obs
 from repro.campaign.cache import SweepCache, canonical_digest
-from repro.campaign.executor import (
-    ParallelMonteCarloExecutor,
-    ShardedVectorizedExecutor,
-)
+from repro.campaign.executor import ShardedVectorizedExecutor
 from repro.core.registry import (
     UnknownFailureModelError,
     UnknownProtocolError,
@@ -193,14 +190,10 @@ class AdvisorService:
         self.answers = AnswerCache(answer_cache_entries, registry=self.metrics)
         self.jobs = JobManager(workers, registry=self.metrics)
         self._mc_workers_requested = mc_workers
-        # Executors shared by every background campaign.  The event-walk
-        # one stays serial -- process pools do not belong inside executor
-        # threads for that rarely-taken fallback -- while the vectorized
-        # shard pool (where MC jobs spend their time) is sized by
-        # ``mc_workers``: 1 keeps campaigns serial in the job thread,
-        # "auto" fans each one across the machine's cores.
-        self._mc_executor = ParallelMonteCarloExecutor(workers=1)
-        self._vector_executor = ShardedVectorizedExecutor(
+        # The executor shared by every background campaign, on either
+        # engine, sized by ``mc_workers``: 1 keeps campaigns serial in the
+        # job thread, "auto" shards each one across the machine's cores.
+        self._mc_executor = ShardedVectorizedExecutor(
             workers=mc_workers,
             backend="serial" if mc_workers == 1 else "process",
         )
@@ -471,7 +464,6 @@ class AdvisorService:
         model_kwargs = spec.model_kwargs_for(protocol)
         cache_dir = self.cache_dir
         executor = self._mc_executor
-        vector_executor = self._vector_executor
 
         def run_explicit() -> Dict[str, Any]:
             cache = SweepCache(cache_dir) if cache_dir is not None else None
@@ -489,7 +481,6 @@ class AdvisorService:
                         seed=seed,
                         backend=backend,
                         executor=executor,
-                        vector_executor=vector_executor,
                         failure_model=law,
                         failure_params=law_params,
                     )
@@ -516,7 +507,6 @@ class AdvisorService:
                 failure_params=law_params,
                 model_kwargs=model_kwargs,
                 executor=executor,
-                vector_executor=vector_executor,
             )
             result: Dict[str, Any] = {
                 "protocol": refined.protocol,
@@ -561,8 +551,8 @@ class AdvisorService:
                 "workers": self.jobs.workers,
                 "mc_workers": {
                     "requested": self._mc_workers_requested,
-                    "resolved": self._vector_executor.workers,
-                    "backend": self._vector_executor.backend,
+                    "resolved": self._mc_executor.workers,
+                    "backend": self._mc_executor.backend,
                 },
                 "answer_cache_entries": self.answers.max_entries,
             },
@@ -623,7 +613,7 @@ def create_app(
     ``optimize map --json`` output); ``surface`` injects a prebuilt
     :class:`RegimeSurface` directly (tests).  ``workers`` bounds the
     concurrent background MC *jobs*; ``mc_workers`` is the shard-pool
-    width of each vectorized campaign (default 1 = serial in the job
+    width of each campaign, on either engine (default 1 = serial in the job
     thread; ``"auto"`` fans each campaign across the machine's cores).
     """
     if regime_map is not None and surface is not None:

@@ -8,12 +8,15 @@ collected into a columnar :class:`~repro.simulation.table.TrialTable`, and
 the waste / makespan / failure-count distributions are summarised with
 vectorized reductions over its columns.
 
-For large campaigns, :mod:`repro.campaign` fans the trials out over a worker
-pool with bit-identical results (same root seed, any worker count); the
-``parallel=`` / ``workers=`` options of :class:`MonteCarloRunner` expose the
-same machinery.  The fully vectorized across-trials engine
-(:mod:`repro.simulation.vectorized`) produces the same tables without a
-Python loop at all, for the protocols and failure laws it supports.
+:func:`simulate_trial_range` runs any contiguous ``[start, stop)`` slice of
+a campaign; it is the event simulators' ``run_trial_range``, the entry point
+both Monte-Carlo engines share.  For large campaigns,
+:class:`repro.campaign.ShardedVectorizedExecutor` splits the trial range
+into shards over worker processes with bit-identical results (same root
+seed, any worker count); the ``workers=`` option of
+:class:`MonteCarloRunner` reaches it.  The fully vectorized across-trials
+engine (:mod:`repro.simulation.vectorized`) produces the same tables without
+a Python loop at all, for the protocols and failure laws it supports.
 """
 
 from __future__ import annotations
@@ -196,15 +199,12 @@ class MonteCarloRunner:
     ----------
     runs / seed / keep_traces / confidence:
         As in :func:`run_monte_carlo`.
-    parallel:
-        Fan the trials of each campaign out over a worker pool
-        (:class:`repro.campaign.ParallelMonteCarloExecutor`).  Results are
-        bit-identical to the serial path for any worker count.
     workers:
-        Worker count when ``parallel`` is set; ``None`` uses the CPU count.
-    backend:
-        Pool backend when ``parallel`` is set: ``"process"`` (default,
-        requires a picklable ``simulate_once``) or ``"thread"``.
+        ``1`` (default) runs each campaign serially in process; any other
+        count, or ``"auto"``, shards its trials over worker processes
+        (:class:`repro.campaign.ParallelMonteCarloExecutor`, so the
+        single-run callable must be picklable).  Results are bit-identical
+        to the serial path for any worker count.
     """
 
     def __init__(
@@ -214,9 +214,7 @@ class MonteCarloRunner:
         seed: Optional[int] = None,
         keep_traces: bool = False,
         confidence: float = 0.95,
-        parallel: bool = False,
-        workers: Optional[int] = None,
-        backend: str = "process",
+        workers: Optional[int | str] = 1,
     ) -> None:
         if runs <= 0:
             raise ValueError(f"runs must be a positive integer, got {runs}")
@@ -224,19 +222,13 @@ class MonteCarloRunner:
         self._seed = seed
         self._keep_traces = bool(keep_traces)
         self._confidence = float(confidence)
-        self._parallel = bool(parallel)
-        self._workers = workers
-        self._backend = backend
-        if self._parallel:
-            # Validate the pool settings eagerly (fail at construction, not
+        self._executor = None
+        if workers != 1:
+            # Validate the worker count eagerly (fail at construction, not
             # mid-campaign); the import is deferred to avoid a cycle.
             from repro.campaign.executor import ParallelMonteCarloExecutor
 
-            self._executor = ParallelMonteCarloExecutor(
-                workers=workers, backend=backend
-            )
-        else:
-            self._executor = None
+            self._executor = ParallelMonteCarloExecutor(workers=workers)
 
     @property
     def runs(self) -> int:
@@ -247,11 +239,6 @@ class MonteCarloRunner:
     def seed(self) -> Optional[int]:
         """Root seed shared by every campaign launched by this runner."""
         return self._seed
-
-    @property
-    def parallel(self) -> bool:
-        """Whether campaigns fan trials out over a worker pool."""
-        return self._parallel
 
     def _campaign(
         self, simulate_once: SimulateOnce, seed: Optional[int]

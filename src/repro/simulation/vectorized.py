@@ -48,9 +48,11 @@ Two more properties matter at campaign scale:
   same setup and memory as a single epoch;
 * :meth:`VectorizedPhasedSimulator.run_trial_range` simulates any
   contiguous ``[start, stop)`` slice of a campaign with the per-trial
-  generators derived from the *absolute* indices, so
-  :class:`~repro.campaign.executor.ShardedVectorizedExecutor` can fan one
-  campaign over worker processes and reassemble bit-identical results;
+  generators derived from the *absolute* indices -- the entry point the
+  event simulators share -- so
+  :class:`~repro.campaign.executor.ShardedVectorizedExecutor`, the one
+  campaign executor, fans either engine over worker processes and
+  reassembles bit-identical results;
 * the same shard-boundary contract bounds memory: a range runs in chunks
   of :data:`TRIAL_CHUNK` trials, each with its own failure sampler and
   generators (built from the chunk's state rows, see
@@ -266,6 +268,9 @@ class VectorizedPhasedSimulator:
         (:data:`~repro.failures.timeline.DEFAULT_BATCH_SIZE`) for the
         bit-identical contract to hold.
     """
+
+    #: The engine a campaign span names (the event simulators say "event").
+    engine_kind = "vectorized"
 
     def __init__(
         self,
@@ -528,7 +533,8 @@ class VectorizedPhasedSimulator:
         :func:`repro.simulation.runner.simulate_trial_range`, so a campaign
         split into contiguous shards -- at any boundaries -- concatenates to
         the bit-identical serial table.  This is the worker-side entry point
-        of :class:`~repro.campaign.executor.ShardedVectorizedExecutor`.  The
+        of :class:`~repro.campaign.executor.ShardedVectorizedExecutor`, as
+        the event simulators' ``run_trial_range`` is.  The
         range itself runs in chunks of :data:`TRIAL_CHUNK` trials under the
         same contract; instrumented, it still counts as one engine run.
         """

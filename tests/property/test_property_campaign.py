@@ -2,8 +2,8 @@
 
 The campaign executor's contract is that for a given root seed the parallel
 path reproduces the serial :func:`run_monte_carlo` *exactly* -- bit-identical
-summary statistics for any worker count, chunk size or backend.  These tests
-assert ``==`` on every field of the summaries, never approximate equality.
+summary statistics for any worker count or backend.  These tests assert
+``==`` on every field of the summaries, never approximate equality.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.campaign import ParallelMonteCarloExecutor, run_monte_carlo_parallel
+from repro.campaign import ParallelMonteCarloExecutor, ShardedVectorizedExecutor
 from repro.core.protocols import (
     AbftPeriodicCkptSimulator,
     BiPeriodicCkptSimulator,
@@ -60,27 +60,26 @@ def _assert_identical(serial, parallel):
 
 
 class TestSeedEquivalence:
-    """Random (seed, runs, workers, chunk) draws: parallel == serial exactly."""
+    """Random (seed, runs, workers) draws: parallel == serial exactly."""
 
     @settings(max_examples=12, deadline=None)
     @given(
         seed=st.integers(min_value=0, max_value=2**31 - 1),
         runs=st.integers(min_value=1, max_value=60),
-        workers=st.integers(min_value=1, max_value=5),
-        chunk_size=st.one_of(st.none(), st.integers(min_value=1, max_value=17)),
+        workers=st.integers(min_value=1, max_value=9),
     )
-    def test_thread_backend_bit_identical(self, seed, runs, workers, chunk_size):
+    def test_serial_backend_bit_identical(self, seed, runs, workers):
         serial = run_monte_carlo(_toy_simulation, runs=runs, seed=seed)
-        executor = ParallelMonteCarloExecutor(
-            workers=workers, backend="thread", chunk_size=chunk_size
-        )
-        _assert_identical(serial, executor.run(_toy_simulation, runs=runs, seed=seed))
+        executor = ParallelMonteCarloExecutor(workers=workers, backend="serial")
+        parallel = executor.run(_toy_simulation, runs=runs, seed=seed)
+        _assert_identical(serial, parallel)
+        assert parallel.table == serial.table
 
     @pytest.mark.parametrize("workers", [2, 3, 5])
     def test_process_backend_bit_identical(self, workers):
         serial = run_monte_carlo(_toy_simulation, runs=50, seed=20140527)
-        parallel = run_monte_carlo_parallel(
-            _toy_simulation, runs=50, seed=20140527, workers=workers
+        parallel = ParallelMonteCarloExecutor(workers=workers).run(
+            _toy_simulation, runs=50, seed=20140527
         )
         _assert_identical(serial, parallel)
 
@@ -92,8 +91,8 @@ class TestSeedEquivalence:
     def test_protocol_simulators_bit_identical(self, protocol_cls):
         simulator = _paper_simulator(protocol_cls)
         serial = run_monte_carlo(simulator.simulate_once, runs=30, seed=42)
-        parallel = run_monte_carlo_parallel(
-            simulator.simulate_once, runs=30, seed=42, workers=3
+        parallel = ParallelMonteCarloExecutor(workers=3).run(
+            simulator.simulate_once, runs=30, seed=42
         )
         _assert_identical(serial, parallel)
 
@@ -106,20 +105,17 @@ class TestSeedEquivalence:
         serial = run_monte_carlo(
             _toy_simulation, runs=20, seed=seed, keep_traces=True
         )
-        parallel = ParallelMonteCarloExecutor(
-            workers=workers, backend="thread", chunk_size=3
-        ).run(_toy_simulation, runs=20, seed=seed, keep_traces=True)
+        parallel = ParallelMonteCarloExecutor(workers=workers).run(
+            _toy_simulation, runs=20, seed=seed, keep_traces=True
+        )
         assert [t.makespan for t in parallel.traces] == [
             t.makespan for t in serial.traces
         ]
 
     def test_different_seeds_still_differ(self):
-        a = run_monte_carlo_parallel(
-            _toy_simulation, runs=40, seed=1, workers=2, backend="thread"
-        )
-        b = run_monte_carlo_parallel(
-            _toy_simulation, runs=40, seed=2, workers=2, backend="thread"
-        )
+        executor = ParallelMonteCarloExecutor(workers=2, backend="serial")
+        a = executor.run(_toy_simulation, runs=40, seed=1)
+        b = executor.run(_toy_simulation, runs=40, seed=2)
         assert a.mean_waste != b.mean_waste
 
 
@@ -128,12 +124,9 @@ class TestChunking:
     @given(
         runs=st.integers(min_value=1, max_value=500),
         workers=st.integers(min_value=1, max_value=8),
-        chunk_size=st.one_of(st.none(), st.integers(min_value=1, max_value=64)),
     )
-    def test_chunks_partition_the_trial_range(self, runs, workers, chunk_size):
-        executor = ParallelMonteCarloExecutor(
-            workers=workers, backend="thread", chunk_size=chunk_size
-        )
-        chunks = executor.chunk_ranges(runs)
+    def test_chunks_partition_the_trial_range(self, runs, workers):
+        executor = ShardedVectorizedExecutor(workers=workers, backend="serial")
+        chunks = executor.shard_ranges(runs)
         covered = [i for start, stop in chunks for i in range(start, stop)]
         assert covered == list(range(runs))

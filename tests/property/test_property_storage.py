@@ -219,3 +219,40 @@ def test_storage_stack_process_pool_bit_identity(stack_name):
         engine, runs=7, seed=23
     )
     assert sharded == serial
+
+
+def test_lowered_stack_cell_equals_flat_scalars_across_chunks():
+    """The correctness half of the storage overhead benchmark, on its cell.
+
+    A 20k-trial PurePeriodicCkpt point (more than two engine chunks) whose
+    parameters were lowered from a multi-level stack produces exactly the
+    table of the same point built from flat scalars at the lowered costs.
+    """
+    stack = StorageStack(
+        MultiLevelStorage(
+            LocalStorage(node_write_bandwidth=5 * GB),
+            RemoteFileSystemStorage(write_bandwidth=100 * GB),
+            remote_fraction=0.25,
+            remote_read_fraction=0.25,
+        ),
+        data_bytes=64 * TB,
+        node_count=1000,
+    )
+    lowered = ResilienceParameters.from_storage(
+        platform_mtbf=120 * MINUTE,
+        storage=stack,
+        downtime=60.0,
+        library_fraction=0.8,
+    )
+    flat = ResilienceParameters.from_scalars(
+        platform_mtbf=120 * MINUTE,
+        checkpoint=lowered.full_checkpoint,
+        recovery=lowered.full_recovery,
+        downtime=60.0,
+        library_fraction=0.8,
+    )
+    workload = ApplicationWorkload.single_epoch(24 * HOUR, 0.8, library_fraction=0.8)
+    engine_cls = PAIRS["PurePeriodicCkpt"][1]
+    assert engine_cls(lowered, workload).run_trials(
+        20_000, seed=2014
+    ) == engine_cls(flat, workload).run_trials(20_000, seed=2014)

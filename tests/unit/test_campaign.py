@@ -53,12 +53,8 @@ class TestExecutorValidation:
         with pytest.raises(ValueError, match="workers"):
             ParallelMonteCarloExecutor(workers=0)
 
-    def test_invalid_chunk_size(self):
-        with pytest.raises(ValueError, match="chunk_size"):
-            ParallelMonteCarloExecutor(chunk_size=-1)
-
     def test_invalid_runs(self):
-        executor = ParallelMonteCarloExecutor(workers=2, backend="thread")
+        executor = ParallelMonteCarloExecutor(workers=2, backend="serial")
         with pytest.raises(ValueError, match="runs"):
             executor.run(_fake_simulation, runs=0)
 
@@ -140,6 +136,21 @@ class TestShardedVectorizedExecutor:
             executor = ShardedVectorizedExecutor(workers=workers, backend="serial")
             assert executor.run(engine, runs=11, seed=3) == serial, workers
 
+    def test_two_process_shards_equal_serial_on_a_100k_trial_cell(self):
+        # The correctness half of the multicore speedup benchmark, on its
+        # cell: two real worker processes, shard boundary mid-chunk.
+        from repro import ApplicationWorkload
+        from repro.utils import DAY
+
+        engine = resolve_protocol("PurePeriodicCkpt").vectorized_cls(
+            _parameters(),
+            ApplicationWorkload.single_epoch(1 * DAY, 0.8, library_fraction=0.8),
+        )
+        sharded = ShardedVectorizedExecutor(workers=2, backend="process").run(
+            engine, runs=100_000, seed=2014
+        )
+        assert sharded == engine.run_trials(100_000, seed=2014)
+
     def test_unseeded_shards_are_still_deterministic_per_seedless_run(self):
         # seed=None derives fresh entropy per RandomStreams, so two unseeded
         # campaigns differ; but a sharded unseeded run must still produce a
@@ -154,29 +165,35 @@ class TestShardedVectorizedExecutor:
 class TestMonteCarloRunnerParallel:
     def test_parallel_runner_matches_serial_runner(self):
         serial = MonteCarloRunner(runs=30, seed=11).run(_fake_simulation)
-        parallel = MonteCarloRunner(
-            runs=30, seed=11, parallel=True, workers=3, backend="thread"
-        ).run(_fake_simulation)
+        parallel = MonteCarloRunner(runs=30, seed=11, workers=2).run(
+            _fake_simulation
+        )
         assert parallel.waste == serial.waste
         assert parallel.makespan == serial.makespan
         assert parallel.failures == serial.failures
+        assert parallel.table == serial.table
 
     def test_parallel_run_many_matches_serial(self):
         sims = [_fake_simulation, _fake_simulation, _fake_simulation]
         serial = MonteCarloRunner(runs=15, seed=4).run_many(sims)
-        parallel = MonteCarloRunner(
-            runs=15, seed=4, parallel=True, workers=2, backend="thread"
-        ).run_many(sims)
+        parallel = MonteCarloRunner(runs=15, seed=4, workers=2).run_many(sims)
         for a, b in zip(serial, parallel):
             assert a.waste == b.waste
 
-    def test_parallel_flag_validates_backend_eagerly(self):
-        with pytest.raises(ValueError, match="backend"):
-            MonteCarloRunner(runs=5, parallel=True, backend="bogus")
+    def test_workers_validated_eagerly(self):
+        with pytest.raises(ValueError, match="workers"):
+            MonteCarloRunner(runs=5, workers=0)
 
-    def test_parallel_property(self):
-        assert MonteCarloRunner(runs=5, parallel=True, workers=2).parallel
-        assert not MonteCarloRunner(runs=5).parallel
+    def test_parallel_runner_keeps_traces_in_trial_order(self):
+        serial = MonteCarloRunner(runs=12, seed=6, keep_traces=True).run(
+            _fake_simulation
+        )
+        parallel = MonteCarloRunner(
+            runs=12, seed=6, keep_traces=True, workers="auto"
+        ).run(_fake_simulation)
+        assert [t.makespan for t in parallel.traces] == [
+            t.makespan for t in serial.traces
+        ]
 
 
 class TestSweepCache:

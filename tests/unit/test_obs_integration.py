@@ -79,6 +79,15 @@ class TestEnginePhaseMetrics:
             traced = _engine().run_trials(30, seed=11)
         assert traced == plain
 
+    def test_disabled_entry_point_equals_the_bare_engine_body(self):
+        # The correctness half of the disabled-instrumentation overhead
+        # benchmark: the public entry point returns the chunked body's bits.
+        obs.configure(metrics=False, trace=False)
+        engine = _engine()
+        assert engine.run_trial_range(0, 200, seed=2014) == engine._run_chunks(
+            0, 200, 2014
+        )
+
     def test_engine_span_nests_and_carries_phase_timings(self):
         obs.configure(trace=True)
         with obs.span("campaign") as campaign:

