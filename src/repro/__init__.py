@@ -31,9 +31,10 @@ Running campaigns at scale
 The paper averages 1000 simulated executions per parameter point and sweeps
 the whole (MTBF, alpha) plane.  :mod:`repro.campaign` makes that tractable:
 
-* :class:`~repro.campaign.ShardedVectorizedExecutor` splits the trials of
-  one Monte-Carlo campaign into one contiguous shard per worker process and
-  runs either engine (event simulator or vectorized) on each shard.  Trial
+* :class:`~repro.campaign.ShardedVectorizedExecutor` runs batches of
+  Monte-Carlo campaigns on one process pool, each campaign whole or (when
+  the batch is smaller than the pool) cut into contiguous trial shards, on
+  either engine (event simulator or vectorized).  Trial
   ``i`` draws from the generator of ``SeedSequence(entropy=seed,
   spawn_key=(i, 0))`` (the first child of the ``i``-th child of the root)
   exactly like the serial runner, and the shard tables are concatenated in

@@ -6,9 +6,11 @@ simulated executions per parameter point (Section V-A), swept over the
 structure up:
 
 * :mod:`repro.campaign.executor` -- :class:`ShardedVectorizedExecutor`
-  splits the trial range of one campaign into one contiguous shard per
-  worker process and runs either Monte-Carlo engine (event simulator or
-  vectorized) on it through ``run_trial_range``; each trial's RNG is
+  runs a batch of campaigns on one process pool -- each campaign whole when
+  the batch has at least as many campaigns as workers, else cut into
+  contiguous trial shards (a lone campaign: one per worker) -- on either
+  Monte-Carlo engine (event simulator or vectorized) through
+  ``run_trial_range``; each trial's RNG is
   derived exactly as the serial runner derives it, so the same root seed
   produces a bit-identical table for any worker count.
   :class:`ParallelMonteCarloExecutor` is its ``simulate_once ->

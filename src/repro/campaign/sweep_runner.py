@@ -10,16 +10,17 @@ evaluates the grid lazily and forgets everything afterwards.  The
   sweep recomputes only the missing points;
 * the analytical wastes of uncached points are evaluated in one vectorised
   NumPy pass (:mod:`repro.core.analytical.grid`) instead of point by point;
-* when a simulation campaign is requested, the Monte-Carlo trials of each
-  point are sharded by :class:`~repro.campaign.executor.ShardedVectorizedExecutor`,
-  whose results are bit-identical to the serial runner for any worker count
-  -- cache entries written by a parallel run and a serial run are
-  interchangeable.
+* when a simulation campaign is requested, the campaigns of every uncached
+  point run as one batch on
+  :class:`~repro.campaign.executor.ShardedVectorizedExecutor`, whose results
+  are bit-identical to the serial runner for any worker count -- cache
+  entries written by a parallel run and a serial run are interchangeable.
 """
 
 from __future__ import annotations
 
 import difflib
+from contextlib import closing, nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Optional, Sequence, Tuple
@@ -29,7 +30,7 @@ import numpy as np
 import repro.obs as _obs
 from repro.application.workload import ApplicationWorkload
 from repro.campaign.cache import SweepCache
-from repro.campaign.executor import ShardedVectorizedExecutor, run_campaign
+from repro.campaign.executor import ShardedVectorizedExecutor, campaign_engine
 from repro.core.analytical.grid import GRID_PROTOCOLS, waste_points
 from repro.core.parameters import ResilienceParameters
 from repro.core.registry import (
@@ -40,7 +41,6 @@ from repro.core.registry import (
     resolve_failure_model,
     resolve_protocol,
 )
-from repro.simulation.table import TrialTable
 from repro.simulation.vectorized import ENGINE_BACKENDS
 
 __all__ = ["SweepJob", "GridPoint", "SweepResult", "SweepRunner", "CAMPAIGN_PROTOCOLS"]
@@ -338,8 +338,8 @@ class SweepRunner:
         Consult existing cache entries (default).  ``False`` recomputes every
         point (entries are still rewritten, refreshing the cache).
     workers / backend:
-        Worker-pool settings for the Monte-Carlo trials of simulated points:
-        every campaign, on either engine, shards its trial range through
+        Worker-pool settings for the Monte-Carlo campaigns of simulated
+        points: a job's campaigns, on either engine, run as one batch on
         :class:`~repro.campaign.executor.ShardedVectorizedExecutor`
         (``backend`` is ``"process"`` or ``"serial"``), bit-identically to
         one worker for any count.
@@ -406,29 +406,29 @@ class SweepRunner:
 
         if pending:
             model_waste = self._evaluate_models(job, pending)
-            for coords in pending:
-                value: Dict[str, Any] = {"model_waste": model_waste[coords]}
-                if job.simulate:
-                    if _obs.tracing():
-                        with _obs.span(
-                            "sweep-point",
-                            category="campaign",
-                            mtbf=float(coords[0]),
-                            alpha=float(coords[1]),
-                        ):
-                            tables = self._simulate_point(job, *coords)
-                    else:
-                        tables = self._simulate_point(job, *coords)
-                    value["simulated_waste"] = {
-                        name: table.summarize("waste").mean
-                        for name, table in tables.items()
-                    }
-                    value["simulated"] = {
-                        name: table.summary_dict() for name, table in tables.items()
-                    }
-                values[coords] = value
-                if self._cache is not None:
-                    self._cache.store(job.point_key(*coords), value)
+            # Every pending point's campaigns run as one batch.
+            batch = self._executor.run_many(
+                (engine, job.simulation_runs, job.seed)
+                for coords in (pending if job.simulate else ())
+                for engine in self._point_engines(job, *coords)
+            )
+            with closing(batch) as tables:
+                for coords in pending:
+                    value: Dict[str, Any] = {"model_waste": model_waste[coords]}
+                    if job.simulate:
+                        with _point_span(*coords):
+                            point = {name: next(tables) for name in job.protocols}
+                        value["simulated_waste"] = {
+                            name: table.summarize("waste").mean
+                            for name, table in point.items()
+                        }
+                        value["simulated"] = {
+                            name: table.summary_dict()
+                            for name, table in point.items()
+                        }
+                    values[coords] = value
+                    if self._cache is not None:
+                        self._cache.store(job.point_key(*coords), value)
 
         points = tuple(
             GridPoint(
@@ -490,25 +490,30 @@ class SweepRunner:
             }
         return out
 
-    def _simulate_point(
-        self, job: SweepJob, mtbf: float, alpha: float
-    ) -> Dict[str, TrialTable]:
-        """Per-protocol trial tables of the campaigns at one grid point."""
+    def _point_engines(self, job: SweepJob, mtbf: float, alpha: float) -> list:
+        """The Monte-Carlo engines of one grid point, in protocol order."""
         parameters = job.parameters.with_mtbf(mtbf)
         workload = job.workload(alpha)
         failure_model = job.point_failure_model(mtbf)
-        return {
-            name: run_campaign(
+        return [
+            campaign_engine(
                 name,
                 parameters,
                 workload,
-                runs=job.simulation_runs,
-                seed=job.seed,
                 backend=job.backend,
                 max_slowdown=job.max_slowdown,
                 failure_model=failure_model,
                 law=job.failure_model,
-                executor=self._executor,
             )
             for name in job.protocols
-        }
+        ]
+
+
+def _point_span(mtbf: float, alpha: float):
+    """The ``sweep-point`` span a point's campaigns gather under (a no-op
+    unless tracing)."""
+    if not _obs.tracing():
+        return nullcontext()
+    return _obs.span(
+        "sweep-point", category="campaign", mtbf=float(mtbf), alpha=float(alpha)
+    )

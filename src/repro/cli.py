@@ -112,20 +112,16 @@ def _workers_arg(text: str):
 
 
 def _resolve_workers(workers, runs: int) -> int:
-    """Resolve ``--workers`` against the campaign size, with one stderr note."""
-    import math
+    """Resolve ``--workers`` against the campaign size, with one stderr note.
 
+    How the campaigns are cut is the executor's plan, which depends on how
+    many campaigns a batch holds; it reports that plan itself
+    (``event=executor-plan``) when it runs one.
+    """
     from repro.campaign import resolve_worker_count
 
     resolved = resolve_worker_count(workers, runs)
-    shard = math.ceil(runs / resolved)
-    _obs.log(
-        "note",
-        "workers-resolved",
-        workers=resolved,
-        shard_trials=shard,
-        runs=runs,
-    )
+    _obs.log("note", "workers-resolved", workers=resolved, runs=runs)
     return resolved
 
 

@@ -73,6 +73,14 @@ CATALOG: Tuple[MetricSpec, ...] = (
         SCOPE_GLOBAL,
     ),
     MetricSpec(
+        "repro_executor_pool_starts_total",
+        "counter",
+        "Process pools started by the executor (one per batch of "
+        "campaigns that fans out).",
+        (),
+        SCOPE_GLOBAL,
+    ),
+    MetricSpec(
         "repro_sweep_points_total",
         "counter",
         "Sweep grid points, by whether the point was computed or "

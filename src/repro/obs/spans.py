@@ -228,6 +228,33 @@ class Tracer:
         current span."""
         return Span(self, name, category, parent, dict(args))
 
+    def add(
+        self,
+        name: str,
+        *,
+        start_us: int,
+        end_us: int,
+        category: str = "repro",
+        parent: ParentLike = None,
+        **args: Any,
+    ) -> SpanRecord:
+        """Record an interval timed elsewhere -- e.g. a campaign whose
+        shards ran in pool workers while this thread did other work.
+        Without ``parent=`` it parents under the thread's current span."""
+        record = SpanRecord(
+            name=name,
+            category=category,
+            start_us=int(start_us),
+            duration_us=max(int(end_us) - int(start_us), 1),
+            span_id=self._next_id(),
+            parent_id=self.current_id() if parent is None else _parent_id(parent),
+            pid=os.getpid(),
+            tid=threading.get_ident() & 0xFFFFFFFF,
+            args=dict(args),
+        )
+        self._append(record)
+        return record
+
     # -- cross-process plumbing ---------------------------------------- #
     def drain(self) -> List[Dict[str, Any]]:
         """Remove and return all finished records as picklable dicts."""
@@ -262,8 +289,11 @@ class Tracer:
             return list(self._records)
 
     def reset(self) -> None:
+        """Drop the finished records and this thread's open-span stack (a
+        forked pool worker inherits both from the parent that forked it)."""
         with self._lock:
             self._records = []
+        self._stack().clear()
 
     def chrome_trace(self) -> Dict[str, Any]:
         """Render collected spans as a Chrome trace-event JSON object."""

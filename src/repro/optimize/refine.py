@@ -6,7 +6,7 @@ paper validates that model against.  :func:`refine_period` closes the loop:
 starting from the analytical optimum it evaluates a small geometric fan of
 candidate periods with real campaigns -- through the vectorized across-trials
 engine where the (protocol, failure law) pair supports it, through the event
-simulators otherwise, either one sharded over
+simulators otherwise, each round's uncached candidates one batch on
 :class:`~repro.campaign.executor.ShardedVectorizedExecutor` -- and returns
 the candidate with the lowest simulated mean waste, optionally narrowing the
 fan around the winner for further rounds.
@@ -23,6 +23,7 @@ backend is *not* part of the key.
 from __future__ import annotations
 
 import math
+from contextlib import closing
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Mapping, Optional, Tuple
@@ -30,7 +31,7 @@ from typing import Any, Dict, Mapping, Optional, Tuple
 import repro.obs as _obs
 from repro.application.workload import ApplicationWorkload
 from repro.campaign.cache import SweepCache
-from repro.campaign.executor import ShardedVectorizedExecutor, run_campaign
+from repro.campaign.executor import ShardedVectorizedExecutor, campaign_engine
 from repro.core.parameters import ResilienceParameters
 from repro.core.registry import (
     create_failure_model,
@@ -45,7 +46,13 @@ from repro.optimize.period import PeriodOptimum, optimize_period
 #: computed under a different cap.
 DEFAULT_MAX_SLOWDOWN = 1e4
 
-__all__ = ["RefineCandidate", "RefinedOptimum", "refine_period", "simulate_at_periods"]
+__all__ = [
+    "RefineCandidate",
+    "RefinedOptimum",
+    "engine_at_periods",
+    "refine_period",
+    "simulate_at_periods",
+]
 
 
 @dataclass(frozen=True)
@@ -157,6 +164,41 @@ def _candidate_key(
     return key
 
 
+def engine_at_periods(
+    protocol: str,
+    parameters: ResilienceParameters,
+    workload: ApplicationWorkload,
+    periods: Mapping[str, float],
+    *,
+    backend: str = "auto",
+    failure_model: str = "exponential",
+    failure_params: Optional[Mapping[str, Any]] = None,
+    max_slowdown: float = DEFAULT_MAX_SLOWDOWN,
+    simulator_kwargs: Optional[Mapping[str, Any]] = None,
+):
+    """The Monte-Carlo engine of one campaign at an explicit period
+    assignment, built by :func:`repro.campaign.executor.campaign_engine`
+    (arguments as in :func:`simulate_at_periods`)."""
+    failure_params = dict(failure_params or {})
+    law = resolve_failure_model(failure_model).name
+    if law == "exponential" and not failure_params:
+        model = None  # the simulators' default: bit-identical fast path
+    else:
+        model = create_failure_model(
+            law, parameters.platform_mtbf, **failure_params
+        )
+    return campaign_engine(
+        protocol,
+        parameters,
+        workload,
+        backend=backend,
+        max_slowdown=max_slowdown,
+        failure_model=model,
+        law=law,
+        knobs={**dict(simulator_kwargs or {}), **dict(periods)},
+    )
+
+
 def simulate_at_periods(
     protocol: str,
     parameters: ResilienceParameters,
@@ -174,7 +216,7 @@ def simulate_at_periods(
 ) -> Mapping[str, Any]:
     """Run one campaign at an explicit period assignment; return its summary.
 
-    Backend selection is :func:`repro.campaign.executor.run_campaign`'s:
+    Backend selection is :func:`repro.campaign.executor.campaign_engine`'s:
     ``"vectorized"`` requires a registered schedule compiler and a
     registry-flagged vectorized law (else a
     :class:`~repro.simulation.vectorized.VectorizedBackendError` names the
@@ -186,28 +228,19 @@ def simulate_at_periods(
     the composite's ``safeguard``) into the engine constructors, following
     the :func:`repro.core.registry.resolve` model/simulator split.
     """
-    failure_params = dict(failure_params or {})
-    law = resolve_failure_model(failure_model).name
-    if law == "exponential" and not failure_params:
-        model = None  # the simulators' default: bit-identical fast path
-    else:
-        model = create_failure_model(
-            law, parameters.platform_mtbf, **failure_params
-        )
-    table = run_campaign(
+    engine = engine_at_periods(
         protocol,
         parameters,
         workload,
-        runs=runs,
-        seed=seed,
+        periods,
         backend=backend,
+        failure_model=failure_model,
+        failure_params=failure_params,
         max_slowdown=max_slowdown,
-        failure_model=model,
-        law=law,
-        knobs={**dict(simulator_kwargs or {}), **dict(periods)},
-        executor=executor,
+        simulator_kwargs=simulator_kwargs,
     )
-    return table.summary_dict()
+    executor = executor or ShardedVectorizedExecutor(workers=1)
+    return executor.run(engine, runs=runs, seed=seed).summary_dict()
 
 
 def _scales(span: float, points: int) -> Tuple[float, ...]:
@@ -260,8 +293,8 @@ def refine_period(
         Monte-Carlo engine: ``"auto"`` (default; vectorized where supported,
         event elsewhere), ``"vectorized"`` or ``"event"``.
     workers:
-        Worker processes each candidate campaign's trial range is sharded
-        over (:class:`~repro.campaign.executor.ShardedVectorizedExecutor`,
+        Worker processes each round's candidate campaigns run over, as one
+        batch (:meth:`~repro.campaign.executor.ShardedVectorizedExecutor.run_many`,
         either engine).  Bit-identical for any worker count.
     cache_dir / resume:
         Candidate-campaign cache directory (``None`` disables caching) and
@@ -329,8 +362,10 @@ def refine_period(
     center_scale = 1.0
     current_span = float(span)
     for _ in range(rounds):
+        # The round's candidates, each with its cached summary (or None);
+        # the uncached ones run as one batch on the executor.
+        fan = []
         for scale in _scales(current_span, points):
-            absolute = center_scale * scale
             periods = {k: v * scale for k, v in center.items()}
             signature = tuple(sorted(periods.items()))
             if signature in seen:
@@ -349,51 +384,58 @@ def refine_period(
                 simulator_kwargs=engine_kwargs,
             )
             summary = cache.load(key) if (cache is not None and resume) else None
-            was_cached = summary is not None
             if _obs.enabled():
                 _obs.catalog.family("repro_refine_candidates_total").inc(
-                    outcome="cached" if was_cached else "computed"
+                    outcome="computed" if summary is None else "cached"
                 )
-            if summary is None:
-                summary = dict(
-                    simulate_at_periods(
-                        entry.name,
-                        parameters,
-                        workload,
-                        periods,
-                        runs=runs,
-                        seed=seed,
-                        backend=backend,
-                        executor=executor,
-                        failure_model=law,
-                        failure_params=law_params,
-                        max_slowdown=max_slowdown,
-                        simulator_kwargs=engine_kwargs,
-                    )
-                )
-                if cache is not None:
-                    cache.store(key, summary)
-                computed += 1
-            else:
-                cached_count += 1
-            mean = summary.get("waste_mean")
-            candidate = RefineCandidate(
-                periods=periods,
-                scale=absolute,
-                waste_mean=math.nan if mean is None else float(mean),
-                summary=summary,
-                cached=was_cached,
+            fan.append((periods, center_scale * scale, key, summary))
+        batch = executor.run_many(
+            (
+                engine_at_periods(
+                    entry.name,
+                    parameters,
+                    workload,
+                    periods,
+                    backend=backend,
+                    failure_model=law,
+                    failure_params=law_params,
+                    max_slowdown=max_slowdown,
+                    simulator_kwargs=engine_kwargs,
+                ),
+                runs,
+                seed,
             )
-            candidates.append(candidate)
-            if (
-                best is None
-                or not math.isfinite(best.waste_mean)
-                or (
-                    math.isfinite(candidate.waste_mean)
-                    and candidate.waste_mean < best.waste_mean
+            for periods, _, _, summary in fan
+            if summary is None
+        )
+        with closing(batch) as tables:
+            for periods, absolute, key, summary in fan:
+                was_cached = summary is not None
+                if summary is None:
+                    summary = next(tables).summary_dict()
+                    if cache is not None:
+                        cache.store(key, summary)
+                    computed += 1
+                else:
+                    cached_count += 1
+                mean = summary.get("waste_mean")
+                candidate = RefineCandidate(
+                    periods=periods,
+                    scale=absolute,
+                    waste_mean=math.nan if mean is None else float(mean),
+                    summary=summary,
+                    cached=was_cached,
                 )
-            ):
-                best = candidate
+                candidates.append(candidate)
+                if (
+                    best is None
+                    or not math.isfinite(best.waste_mean)
+                    or (
+                        math.isfinite(candidate.waste_mean)
+                        and candidate.waste_mean < best.waste_mean
+                    )
+                ):
+                    best = candidate
         if best is not None:
             center = dict(best.periods)
             center_scale = best.scale

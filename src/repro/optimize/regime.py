@@ -19,7 +19,7 @@ where every cell optimizes every registered protocol numerically
 (:func:`~repro.optimize.period.optimize_period`), records the per-protocol
 optimal periods and minimal wastes, optionally validates the ranking with
 Monte-Carlo campaigns (vectorized engine where supported, event
-simulators otherwise, either one sharded over
+simulators otherwise; the whole map's campaigns run as one batch on
 :class:`~repro.campaign.executor.ShardedVectorizedExecutor`), and names the
 winning protocol.
 
@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import closing
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Dict, Iterator, Mapping, Optional, Tuple
@@ -45,7 +46,7 @@ from repro.checkpointing.stack import StorageStack
 from repro.core.parameters import ResilienceParameters
 from repro.core.registry import build_storage, resolve_protocol
 from repro.optimize.period import optimize_period
-from repro.optimize.refine import simulate_at_periods
+from repro.optimize.refine import engine_at_periods
 from repro.simulation.vectorized import ENGINE_BACKENDS
 from repro.utils.tables import Table
 from repro.utils.units import MINUTE, YEAR
@@ -674,52 +675,62 @@ class RegimeMap:
 # ---------------------------------------------------------------------- #
 # Computation
 # ---------------------------------------------------------------------- #
-def _evaluate_cell(
+def _analyse_cell(
     spec: RegimeMapSpec,
     nodes: int,
     node_mtbf: float,
     checkpoint: Any,
     phi: float,
-    executor: ShardedVectorizedExecutor,
-) -> Dict[str, Any]:
-    """Evaluate one cell into its cacheable plain-data form.
+) -> Tuple[ResilienceParameters, Dict[str, Dict[str, Any]], list]:
+    """The analytical pass over one cell.
 
-    ``checkpoint`` is the third coordinate: a scalar cost, or a storage
-    label whose stack is lowered through ``spec.parameters_at`` (the
-    recorded ``checkpoint`` is then the effective lowered cost).
+    Returns the cell's parameters, each protocol's optimum entry, and the
+    ``(protocol, engine)`` campaigns still to simulate (none unless
+    ``spec.simulate``).  ``checkpoint`` is the third coordinate: a scalar
+    cost, or a storage label whose stack is lowered through
+    ``spec.parameters_at``.
     """
     parameters = spec.parameters_at(nodes, node_mtbf, checkpoint, phi)
     workload = spec.workload()
     results: Dict[str, Dict[str, Any]] = {}
+    campaigns = []
     for name in spec.protocols:
         optimum = optimize_period(name, parameters, workload)
         entry = optimum.to_dict()
         del entry["protocol"]
-        if spec.simulate:
-            if optimum.waste >= SIMULATION_WASTE_CUTOFF:
-                # Hopeless corner: every trial would only end by truncation;
-                # record the analytical value instead of burning the budget.
-                entry["simulated_waste"] = float(optimum.waste)
-                entry["simulated"] = False
-            else:
-                periods = {
-                    k: v for k, v in optimum.periods.items() if math.isfinite(v)
-                }
-                summary = simulate_at_periods(
-                    name,
-                    parameters,
-                    workload,
-                    periods,
-                    runs=spec.simulation_runs,
-                    seed=spec.seed,
-                    backend=spec.backend,
-                    executor=executor,
-                    max_slowdown=spec.max_slowdown,
-                )
-                entry["simulated_waste"] = summary.get("waste_mean")
-                entry["summary"] = dict(summary)
-                entry["simulated"] = True
         results[name] = entry
+        if not spec.simulate:
+            continue
+        if optimum.waste >= SIMULATION_WASTE_CUTOFF:
+            # Hopeless corner: every trial would only end by truncation;
+            # record the analytical value instead of burning the budget.
+            entry["simulated_waste"] = float(optimum.waste)
+            entry["simulated"] = False
+            continue
+        periods = {k: v for k, v in optimum.periods.items() if math.isfinite(v)}
+        engine = engine_at_periods(
+            name,
+            parameters,
+            workload,
+            periods,
+            backend=spec.backend,
+            max_slowdown=spec.max_slowdown,
+        )
+        campaigns.append((name, engine))
+    return parameters, results, campaigns
+
+
+def _cell_value(
+    spec: RegimeMapSpec,
+    nodes: int,
+    node_mtbf: float,
+    checkpoint: Any,
+    phi: float,
+    parameters: ResilienceParameters,
+    results: Dict[str, Dict[str, Any]],
+) -> Dict[str, Any]:
+    """One evaluated cell in its cacheable plain-data form (the recorded
+    ``checkpoint`` of a storage cell is the effective lowered cost)."""
 
     def decisive(name: str) -> float:
         entry = results[name]
@@ -757,33 +768,55 @@ def compute_regime_map(
 ) -> RegimeMap:
     """Evaluate (or resume) a regime map.
 
+    Every uncached cell's analytical pass runs first; the campaigns of
+    all of them then run as one batch
+    (:meth:`ShardedVectorizedExecutor.run_many`, either engine), and each
+    cell is stored in the cache, in coordinate order, as soon as its
+    protocols are done -- so an interrupted map resumes from its last
+    finished cell.
+
     Parameters
     ----------
     spec:
         The map description.
     workers:
-        Worker processes the campaigns of simulated maps shard their trial
-        ranges over (:class:`ShardedVectorizedExecutor`, either engine;
-        analytical cells are CPU-light and run inline).
+        Worker processes the batch of campaigns of a simulated map runs
+        over (one pool for the whole map; analytical cells are CPU-light
+        and run inline).
     cache_dir / resume:
         Per-cell cache directory and whether to consult existing entries;
         semantics identical to :class:`~repro.campaign.sweep_runner.SweepRunner`.
     """
     cache = SweepCache(cache_dir) if cache_dir is not None else None
     executor = ShardedVectorizedExecutor(workers=1 if workers is None else workers)
-    cells: list[RegimeCell] = []
-    computed = 0
-    cached_count = 0
+    values: Dict[Tuple[int, float, Any, float], Dict[str, Any]] = {}
+    pending = []
     for coords in spec.coordinates():
         key = spec.cell_key(*coords)
         value = cache.load(key) if (cache is not None and resume) else None
         if value is None:
-            value = _evaluate_cell(spec, *coords, executor)
+            pending.append((coords, key, _analyse_cell(spec, *coords)))
+        else:
+            values[coords] = value
+    batch = executor.run_many(
+        (engine, spec.simulation_runs, spec.seed)
+        for _, _, (_, _, campaigns) in pending
+        for _, engine in campaigns
+    )
+    with closing(batch) as tables:
+        for coords, key, (parameters, results, campaigns) in pending:
+            for name, _ in campaigns:
+                summary = next(tables).summary_dict()
+                results[name]["simulated_waste"] = summary.get("waste_mean")
+                results[name]["summary"] = summary
+                results[name]["simulated"] = True
+            value = _cell_value(spec, *coords, parameters, results)
             if cache is not None:
                 cache.store(key, value)
-            computed += 1
-        else:
-            cached_count += 1
+            values[coords] = value
+    cells: list[RegimeCell] = []
+    for coords in spec.coordinates():
+        value = values[coords]
         margin = value.get("margin")
         storage = value.get("storage")
         cells.append(
@@ -804,6 +837,6 @@ def compute_regime_map(
     return RegimeMap(
         spec=spec,
         cells=tuple(cells),
-        computed_cells=computed,
-        cached_cells=cached_count,
+        computed_cells=len(pending),
+        cached_cells=len(values) - len(pending),
     )

@@ -16,7 +16,7 @@ from __future__ import annotations
 import pytest
 
 from repro import ApplicationWorkload, ResilienceParameters
-from repro.campaign.executor import ShardedVectorizedExecutor, run_campaign
+from repro.campaign.executor import ShardedVectorizedExecutor, campaign_engine
 from repro.core.registry import protocol_names, resolve_protocol
 from repro.failures import ExponentialFailureModel, WeibullFailureModel
 from repro.simulation import run_monte_carlo
@@ -84,17 +84,17 @@ def test_process_shards_equal_the_event_runner(protocol, law):
 @pytest.mark.parametrize("protocol", protocol_names())
 def test_event_campaign_equals_vectorized_campaign(protocol, law):
     def campaign(backend: str):
-        return run_campaign(
+        engine = campaign_engine(
             protocol,
             _parameters(),
             _workload(),
-            runs=RUNS,
-            seed=SEED,
             backend=backend,
             max_slowdown=4.0,
             failure_model=LAWS[law](),
             law=law,
-            executor=ShardedVectorizedExecutor(workers=3, backend="serial"),
+        )
+        return ShardedVectorizedExecutor(workers=3, backend="serial").run(
+            engine, runs=RUNS, seed=SEED
         )
 
     assert campaign("event") == campaign("vectorized")

@@ -181,18 +181,24 @@ class TestRegistration:
 
         try:
             assert "TestOnlySchedule" in registry.vectorized_protocol_names()
-            from repro.campaign.executor import run_campaign
+            from repro.campaign.executor import (
+                ShardedVectorizedExecutor,
+                campaign_engine,
+            )
 
-            common = dict(runs=24, seed=5, failure_model=None, max_slowdown=1e4)
             knobs = {"period": 1800.0}
-            vectorized = run_campaign(
-                "TestOnlySchedule", paper_parameters, small_workload,
-                backend="vectorized", knobs=knobs, **common,
-            )
-            event = run_campaign(
-                "TestOnlySchedule", paper_parameters, small_workload,
-                backend="event", knobs=knobs, **common,
-            )
+
+            def run_campaign(backend):
+                engine = campaign_engine(
+                    "TestOnlySchedule", paper_parameters, small_workload,
+                    backend=backend, knobs=knobs, max_slowdown=1e4,
+                )
+                return ShardedVectorizedExecutor(workers=1).run(
+                    engine, runs=24, seed=5
+                )
+
+            vectorized = run_campaign("vectorized")
+            event = run_campaign("event")
             assert vectorized == event
             assert vectorized.data["failure_count"].sum() > 0
             summary = simulate_at_periods(
