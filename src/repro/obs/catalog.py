@@ -57,6 +57,23 @@ CATALOG: Tuple[MetricSpec, ...] = (
         SCOPE_GLOBAL,
     ),
     MetricSpec(
+        "repro_engine_rounds_total",
+        "counter",
+        "Execute-loop rounds run by the vectorized engine (one per pass "
+        "over a chunk's live trials); only counted while instrumentation "
+        "is enabled.",
+        ("protocol",),
+        SCOPE_GLOBAL,
+    ),
+    MetricSpec(
+        "repro_engine_trial_rounds_total",
+        "counter",
+        "Live trials summed over the vectorized engine's execute-loop "
+        "rounds; only counted while instrumentation is enabled.",
+        ("protocol",),
+        SCOPE_GLOBAL,
+    ),
+    MetricSpec(
         "repro_engine_phase_seconds_total",
         "counter",
         "Wall-clock seconds per engine phase "

@@ -7,13 +7,49 @@ sections, atomic (unprotected or checkpoint-only) segments, ABFT-protected
 stretches and restartable recovery sequences -- scheduled in an order that
 depends only on the configuration, never on the failure draws.  That makes
 them batchable: :class:`VectorizedPhasedSimulator` keeps one NumPy state
-vector per quantity (clock, progress, failure cursor, segment index, mode)
-and advances **all trials simultaneously**, one state-machine step per round,
-through any compiled :class:`~repro.simulation.schedule.Schedule` of
-periodic / atomic / ABFT segments.  Every protocol with a registered
-schedule compiler gets this engine without further code:
+vector per quantity (clock, progress, failure cursor, schedule cursor,
+mode) and advances **all trials simultaneously**, round by round, through
+any compiled :class:`~repro.simulation.schedule.Schedule` of periodic /
+atomic / ABFT segments.  Every protocol with a registered schedule compiler
+gets this engine without further code:
 :attr:`repro.core.registry.ProtocolEntry.vectorized_cls` compiles the
 schedule and builds the engine.
+
+Rounds
+------
+One round of the execute loop is one pass over a chunk's live trials:
+
+* **Live-trial arrays.**  The per-trial state (clock ``t``, progress ``w``,
+  failure cursor, schedule cursor, mode, failure count and only the waste
+  categories the schedule can touch) lives in dense arrays holding the
+  trials still running.  A trial that finishes or passes the cap is written
+  to the output columns by its index in the chunk, and the arrays are
+  compacted, so later rounds touch only live trials in contiguous memory.
+* **One failure gather per round.**  Each trial's block of failure times is
+  a row of one array with a ``-inf`` sentinel column, and its cursor is a
+  flat index into it: one gather reads every live trial's next failure.  A
+  trial that failed steps its cursor by one at once, so only the rare
+  trials whose gathered failure is not strictly after ``t`` (equal failure
+  times, or the sentinel at the end of a block, which refills the row) take
+  the slow path -- the event walk's ``next_failure_after``.
+* **Dispatch from a compile-time table.**  Only the segment kinds the
+  schedule contains run, a one-kind schedule needs no kind mask and a
+  one-segment schedule reads its parameters as scalars; restart stage sets
+  are split only when the schedule has more than one.  Updates are
+  ``np.where`` over the dense arrays.
+* **Folded rounds.**  A restart that ends strictly before the trial's next
+  failure goes on into its segment body in the same round, and a periodic
+  segment takes up to :data:`CHUNKS_PER_ROUND` successive chunks against
+  the same next failure.
+
+Each trial still performs the event walk's IEEE-754 sequence.  A trial's
+``t += step`` and ``acc += amount`` are done one at a time, in its own
+order; a masked-out trial adds ``+0.0`` (exact on a non-negative sum) or
+keeps its value through ``np.where``.  A fold is taken only where the walk
+would take the same step: the next failure is the same because it is
+strictly after the new clock, and the cap check runs first.  A step that
+ends exactly on the next failure stops the trial's round, so its cursor
+moves past that failure exactly as ``next_failure_after`` would.
 
 Bit-identical contract
 ----------------------
@@ -43,9 +79,9 @@ possible:
 Two more properties matter at campaign scale:
 
 * repeated runs of a compiled :class:`~repro.simulation.schedule.Schedule`
-  execute as a loop over the *compressed* block -- the per-round arrays are
-  sized by unique rounds, so a 1000-epoch weak-scaling workload costs the
-  same setup and memory as a single epoch;
+  execute as a loop over the *compressed* block -- the per-segment tables
+  are sized by the unique lowered segments, so a 1000-epoch weak-scaling
+  workload costs the same setup and memory as a single epoch;
 * :meth:`VectorizedPhasedSimulator.run_trial_range` simulates any
   contiguous ``[start, stop)`` slice of a campaign with the per-trial
   generators derived from the *absolute* indices -- the entry point the
@@ -114,10 +150,26 @@ ENGINE_BACKENDS = ("event", "vectorized", "auto")
 #: Trials advanced together by one pass of the execute loop.  A trial range
 #: runs in chunks of this size and concatenates them, which is bit-identical
 #: because trials never interact; only one chunk's generators and refill
-#: temporaries are alive at a time.  On the 100k-trial reference cell 8192
-#: was the fastest size measured (4096 no faster, 16384 no faster and ~35%
-#: more peak memory).
+#: temporaries are alive at a time.  Re-measured with the dense loop on a
+#: 2-vCPU container (8 alternating in-process rotations, seeds 1-8): on the
+#: 100k-trial reference cell the median execute time read 0.561 s at 4096,
+#: 0.488 s at 8192 and 0.474 s at 16384, with peak RSS 68, 78 and 99 MB;
+#: the regime map's 1000-trial ABFT&PeriodicCkpt campaigns fit in one chunk
+#: at every size (0.261 / 0.262 / 0.267 s).  16384 won no clear majority
+#: and costs 27% more memory, so 8192 stays.
 TRIAL_CHUNK = 8192
+
+#: Periodic chunks a trial may complete in one round against the same next
+#: failure (see Rounds above).  Measured like :data:`TRIAL_CHUNK`, over 1-4:
+#: median execute time 0.465 / 0.467 / 0.493 / 0.506 s on the reference
+#: cell and 0.258 / 0.259 / 0.273 / 0.281 s on the regime map's
+#: ABFT&PeriodicCkpt campaigns, with no value fastest in every rotation and
+#: equal peak RSS.  Inside that noise the value of the first measurement, 3,
+#: stays.  At seed 1 it runs the reference cell in 710 rounds and 2.95M
+#: trial-rounds against 1140 and 6.04M at 1; the time does not follow
+#: because every extra chunk step is computed over all live trials.  Every
+#: value gives the same table.
+CHUNKS_PER_ROUND = 3
 
 
 class VectorizedBackendError(ValueError):
@@ -301,7 +353,7 @@ class VectorizedPhasedSimulator:
 
         # Normalise the schedule, dropping zero-duration segments exactly
         # where the event walk early-returns, and collect per-segment
-        # parallel arrays for the gather-based round dispatch.
+        # parallel arrays for the execute loop's dispatch.
         kinds: List[int] = []
         works: List[float] = []
         chunks: List[float] = []
@@ -403,7 +455,7 @@ class VectorizedPhasedSimulator:
                     )
                 # The exit partial checkpoint executes atomically with the
                 # same restart sequence (run_checkpoint with
-                # redo_on_failure), so it lowers to an ATOMIC round with
+                # redo_on_failure), so it lowers to an ATOMIC segment with
                 # zero work -- the same 0.0 + cost duration sum.
                 exit_ckpt = float(segment.exit_checkpoint_cost)
                 if exit_ckpt > 0.0:
@@ -419,11 +471,11 @@ class VectorizedPhasedSimulator:
                     "PeriodicSegment, AtomicSegment or AbftSegment"
                 )
 
-        # Lower each compressed run's segment block ONCE: the per-round
-        # arrays are sized by *unique* rounds, and repeated runs execute as
-        # a (run, repetition, offset) loop over the compressed block.  A
-        # 1000-epoch weak-scaling schedule whose epochs compile identically
-        # therefore costs one block of rounds, not thousands.  Plain segment
+        # Lower each compressed run's segment block ONCE: the per-segment
+        # arrays are sized by the *unique* segments, and repeated runs
+        # execute as a (segment, repetition) loop over the compressed block.
+        # A 1000-epoch weak-scaling schedule whose epochs compile identically
+        # therefore costs one block of segments, not thousands.  Plain segment
         # iterables are RLE-compressed here, so both construction styles
         # share the compact layout.
         schedule = (
@@ -460,7 +512,6 @@ class VectorizedPhasedSimulator:
         self._duration = np.asarray(durations, dtype=float)
         self._init_w = np.asarray(init_w, dtype=float)
         self._phi = np.asarray(phis, dtype=float)
-        self._stage_sets = stage_sets
         self._stage_id = np.asarray(stage_ids, dtype=np.int64)
         totals = []
         for stages in stage_sets:
@@ -470,15 +521,38 @@ class VectorizedPhasedSimulator:
             for _, duration in stages:
                 total += duration
             totals.append(total)
-        self._stage_total = np.asarray(totals, dtype=float)
-        self._has_restart = (
-            self._stage_total[self._stage_id] > 0.0
-            if self._nseg
-            else np.zeros(0, dtype=bool)
+        self._has_restart = np.asarray(totals, dtype=float)[self._stage_id] > 0.0
+        # The execute loop's dispatch table.  The event walk accounts only
+        # positive amounts, so the atomic and checkpoint charges are clamped
+        # at 0.0 (adding +0.0 to a non-negative sum is exact), and a stage of
+        # zero duration, which charges nothing whether its restart ends or
+        # is cut short, is dropped.  ``_slack`` is the walk's final-chunk
+        # bound ``work - WORK_EPSILON``.  The cursor tables give each
+        # segment its block's end, the block's first segment and the run's
+        # repeat count, so finishing a segment is a table lookup.
+        self._paid_work = np.maximum(self._work, 0.0)
+        self._paid_ckpt = np.maximum(self._ckpt, 0.0)
+        self._slack = self._work - _WORK_EPSILON
+        self._run_first = np.repeat(self._run_start, self._run_len)
+        self._run_reps = np.repeat(self._run_count, self._run_len)
+        self._block_end = np.zeros(self._nseg, dtype=bool)
+        self._block_end[self._run_start + self._run_len - 1] = True
+        self._kinds = frozenset(kinds)
+        self._restart_sets = tuple(
+            (sid, tuple((c, d) for c, d in stage_sets[sid] if d > 0.0), totals[sid])
+            for sid in sorted(set(self._stage_id[self._has_restart].tolist()))
         )
+        touched = {"useful_work"}
+        if self._kinds & {_KIND_PERIODIC, _KIND_ATOMIC}:
+            touched |= {"checkpointing", "lost_work"}
+        if _KIND_ABFT in self._kinds:
+            touched.add("abft_overhead")
+        for _, stages, _ in self._restart_sets:
+            touched.update(category for category, _ in stages)
+        self._touched = tuple(c for c in CATEGORIES if c in touched)
         if compile_start is not None:
             # The "compile" engine phase: schedule normalisation + lowering
-            # to the parallel round arrays above.
+            # to the parallel segment arrays above.
             _obs.catalog.family("repro_engine_phase_seconds_total").inc(
                 time.perf_counter() - compile_start,
                 phase="compile",
@@ -550,6 +624,7 @@ class VectorizedPhasedSimulator:
             # measurement noise).
             return self._run_chunks(start, stop, seed)
         phases = dict.fromkeys(("derive", "sample", "execute", "gather"), 0.0)
+        counts = dict.fromkeys(("rounds", "trial_rounds"), 0)
         if _obs.tracing():
             with _obs.span(
                 "engine",
@@ -559,11 +634,11 @@ class VectorizedPhasedSimulator:
                 start=start,
                 stop=stop,
             ) as engine_span:
-                table = self._run_chunks(start, stop, seed, phases)
-                self._record_run_metrics(stop - start, engine_span, **phases)
+                table = self._run_chunks(start, stop, seed, phases, counts)
+                self._record_run_metrics(stop - start, engine_span, phases, counts)
                 return table
-        table = self._run_chunks(start, stop, seed, phases)
-        self._record_run_metrics(stop - start, None, **phases)
+        table = self._run_chunks(start, stop, seed, phases, counts)
+        self._record_run_metrics(stop - start, None, phases, counts)
         return table
 
     def _run_chunks(
@@ -572,15 +647,19 @@ class VectorizedPhasedSimulator:
         stop: int,
         seed: Optional[int],
         phases: Optional[Dict[str, float]] = None,
+        counts: Optional[Dict[str, int]] = None,
     ) -> TrialTable:
         """Run ``[start, stop)`` chunk by chunk and concatenate in trial order.
 
         Each chunk derives its own streams and failure sampler, so the
         previous chunk's generators are garbage before the next chunk's are
-        built.  ``phases`` (profiling only) accumulates per-phase seconds.
+        built.  ``phases`` and ``counts`` (profiling only) accumulate
+        per-phase seconds and the round counts.
         """
         tables = [
-            self._run(TrialStreams(seed, lo, min(lo + TRIAL_CHUNK, stop)), phases)
+            self._run(
+                TrialStreams(seed, lo, min(lo + TRIAL_CHUNK, stop)), phases, counts
+            )
             for lo in range(start, stop, TRIAL_CHUNK)
         ]
         if len(tables) == 1:
@@ -595,41 +674,42 @@ class VectorizedPhasedSimulator:
         self,
         streams: TrialStreams,
         phases: Optional[Dict[str, float]] = None,
+        counts: Optional[Dict[str, int]] = None,
     ) -> TrialTable:
+        """Run one chunk of trials through the schedule (see the module notes).
+
+        ``phases`` and ``counts`` (profiling only) accumulate per-phase
+        seconds and the round / trial-round counts.
+        """
         n = len(streams)
         profile = phases is not None
         run_begin = time.perf_counter() if profile else 0.0
-        model = self._model
-
-        block = self._block
-        tiny = np.finfo(float).tiny
-        cap = self._max_makespan
         nseg = self._nseg
-        kind_arr = self._kind
-        work_arr = self._work
-        chunk_arr = self._chunk
-        ckpt_arr = self._ckpt
-        trailing_arr = self._trailing
-        duration_arr = self._duration
-        init_w_arr = self._init_w
-        phi_arr = self._phi
-        stage_id_arr = self._stage_id
-        stage_sets = self._stage_sets
-        stage_totals = self._stage_total
-        has_restart_arr = self._has_restart
-        run_start_arr = self._run_start
-        run_len_arr = self._run_len
-        run_count_arr = self._run_count
-        nruns = self._nruns
+        cap = self._max_makespan
+        block = self._block
+        width = block + 1
+        tiny = np.finfo(float).tiny
+        kinds = self._kinds
+        mixed = len(kinds) > 1
+        kind_tab, init_tab, stage_tab = self._kind, self._init_w, self._stage_id
+        work_tab, chunk_tab, trailing_tab = self._work, self._chunk, self._trailing
+        slack_tab = self._slack
+        ckpt_tab, paid_work, paid_ckpt = self._ckpt, self._paid_work, self._paid_ckpt
+        duration_tab, phi_tab = self._duration, self._phi
+        restart_tab = self._has_restart
+        block_end, run_first = self._block_end, self._run_first
+        run_reps = self._run_reps
+        restart_sets = self._restart_sets
+        touched = self._touched
 
-        # Failure-stream windows: each row holds the current block of
-        # absolute failure times; ``base`` is the global index of the row's
-        # first entry.  Only the next failure (global cursor ``k``) is ever
-        # read, so one block per trial bounds memory at runs x batch_size.
-        F = np.empty((n, block), dtype=float)
-        base = np.zeros(n, dtype=np.int64)
-        last = np.zeros(n, dtype=float)
-        filled = np.zeros(n, dtype=bool)
+        # Failure windows: row ``i`` holds trial ``i``'s current block of
+        # absolute failure times plus a -inf sentinel column, and a trial's
+        # cursor ``cur`` is a flat index into ``flat``.  One gather reads
+        # every live trial's next failure; a cursor on the sentinel reads as
+        # stale (not after ``t``) and takes the refill path.
+        windows = np.full((n, width), -np.inf)
+        flat = windows.reshape(-1)
+        last = np.zeros(n)
 
         # The model decides how its per-trial blocks are drawn: stateless
         # laws build each trial's generator from the chunk's state rows and
@@ -638,20 +718,16 @@ class VectorizedPhasedSimulator:
         # match the event backend's per-trial FailureTimeline stream.  Its
         # construction is the "derive" engine phase.
         derive_begin = time.perf_counter() if profile else 0.0
-        sampler = model.trial_block_sampler(streams)
+        sampler = self._model.trial_block_sampler(streams)
         derive_seconds = time.perf_counter() - derive_begin if profile else 0.0
 
-        def refill(indices: np.ndarray) -> None:
-            draws = np.maximum(sampler.sample_blocks(indices, block), tiny)
+        def refill(rows: np.ndarray) -> None:
+            draws = np.maximum(sampler.sample_blocks(rows, block), tiny)
             # Row-wise cumsum performs the same float64 additions in the
-            # same order as the historical per-trial 1-D cumsum.
-            times = last[indices, None] + np.cumsum(draws, axis=1)
-            F[indices] = times
-            last[indices] = times[:, -1]
-            seen = filled[indices]
-            if seen.any():
-                base[indices[seen]] += block
-            filled[indices] = True
+            # same order as the event timeline's per-block 1-D cumsum.
+            times = last[rows, None] + np.cumsum(draws, axis=1)
+            windows[rows, :block] = times
+            last[rows] = times[:, -1]
 
         # Phase profiling: only when enabled is ``refill`` wrapped with a
         # timer (accumulating the "sample" phase) -- the disabled path runs
@@ -661,249 +737,234 @@ class VectorizedPhasedSimulator:
         if profile:
             unprofiled_refill = refill
 
-            def refill(indices: np.ndarray) -> None:
+            def refill(rows: np.ndarray) -> None:
                 nonlocal sample_seconds
                 begin = time.perf_counter()
-                unprofiled_refill(indices)
+                unprofiled_refill(rows)
                 sample_seconds += time.perf_counter() - begin
 
-        # Per-trial state.  The schedule cursor is the triple (run,
-        # repetition, offset) over the compressed runs; ``seg`` caches the
-        # derived compact round index ``run_start[run] + offset`` that the
-        # gather-based dispatch reads every iteration.
-        t = np.zeros(n, dtype=float)
-        w = np.zeros(n, dtype=float)
-        seg = np.zeros(n, dtype=np.int64)
-        run_i = np.zeros(n, dtype=np.int64)
-        rep = np.zeros(n, dtype=np.int64)
-        off = np.zeros(n, dtype=np.int64)
-        k = np.zeros(n, dtype=np.int64)
-        mode = np.zeros(n, dtype=np.int8)  # 0 = segment body, 1 = restart
-        active = np.ones(n, dtype=bool)
-        makespan = np.zeros(n, dtype=float)
-        truncated = np.zeros(n, dtype=bool)
-        failures = np.zeros(n, dtype=np.int64)
-        acc = {category: np.zeros(n, dtype=float) for category in CATEGORIES}
+        def regather(stale, nf, cur, t, row) -> None:
+            """Step the ``stale`` cursors to the first failure after ``t``.
 
-        def ensure(indices: np.ndarray) -> None:
-            """Materialise the failure at cursor ``k`` for every index."""
-            need = indices[k[indices] - base[indices] >= block]
-            if need.size:
-                refill(need)
-
-        def advance(indices: np.ndarray) -> None:
-            """Move ``k`` to the first failure strictly after ``t``."""
-            idx = indices
-            while idx.size:
-                ensure(idx)
-                passed = F[idx, k[idx] - base[idx]] <= t[idx]
-                idx = idx[passed]
-                k[idx] += 1
-
-        def complete(indices: np.ndarray) -> np.ndarray:
-            """Finish the current round; returns the trials that go on.
-
-            Advances the (run, repetition, offset) cursor over the
-            compressed schedule -- past the block's last round the
-            repetition wraps, past the run's last repetition the next run
-            starts -- so repeated runs re-execute the same compact rounds.
-            Trials past the last run record their makespan and retire; the
-            rest enter the next round with its initial progress state.
+            A stale cursor sits on a failure at or before ``t`` (the one a
+            trial just failed at is already stepped past, so only ties of
+            equal failure times land here) or on the sentinel, which
+            refills the row.  This is ``FailureTimeline.next_failure_after``.
             """
-            off[indices] += 1
-            wrapped = indices[off[indices] >= run_len_arr[run_i[indices]]]
-            if wrapped.size:
-                off[wrapped] = 0
-                rep[wrapped] += 1
-                advanced = wrapped[rep[wrapped] >= run_count_arr[run_i[wrapped]]]
-                if advanced.size:
-                    rep[advanced] = 0
-                    run_i[advanced] += 1
-            ended = run_i[indices] >= nruns
-            done = indices[ended]
-            if done.size:
-                makespan[done] = t[done]
-                active[done] = False
-            cont = indices[~ended]
-            if cont.size:
-                seg[cont] = run_start_arr[run_i[cont]] + off[cont]
-                w[cont] = init_w_arr[seg[cont]]
-                mode[cont] = 0
-            return cont
+            while stale.size:
+                ended = nf[stale] == -np.inf
+                cur[stale] += 1
+                if ended.any():
+                    rows = row[stale[ended]]
+                    refill(rows)
+                    cur[stale[ended]] = rows * width
+                got = flat[cur[stale]]
+                nf[stale] = got
+                stale = stale[got <= t[stale]]
 
-        if nseg == 0:
-            active[:] = False
-        else:
-            w[:] = init_w_arr[0]
-            refill(np.arange(n))
+        def complete(done, seg, rep, w, fin) -> None:
+            """Move the trials of mask ``done`` past their finished segment.
 
+            The (segment, repetition) cursor walks the compressed schedule:
+            past a block's last segment the repetition wraps to the block's
+            first one, past the run's last repetition the next run starts
+            (runs are stored back to back).  Trials past the last run are
+            marked ``fin``; the rest enter their next segment's initial
+            state.
+            """
+            idx = np.flatnonzero(done)
+            if not idx.size:
+                return
+            s = seg[idx]
+            at_end = block_end[s]
+            r = rep[idx] + at_end
+            again = at_end & (r < run_reps[s])
+            nxt = np.where(again, run_first[s], s + 1)
+            r[at_end & ~again] = 0
+            ended = nxt >= nseg
+            fin[idx[ended]] = True
+            go = ~ended
+            idx, nxt = idx[go], nxt[go]
+            seg[idx] = nxt
+            rep[idx] = r[go]
+            w[idx] = init_tab[nxt]
+
+        # Output columns, written by chunk offset as trials retire.
+        makespan = np.zeros(n)
+        truncated = np.zeros(n, dtype=bool)
+        failure_count = np.zeros(n, dtype=np.int64)
+        columns = {category: np.zeros(n) for category in touched}
+
+        # Live-trial state, compacted to the trials still running.  ``seg``
+        # and ``rep`` are the schedule cursor, ``restart`` the mode (paying
+        # a restart sequence, else in the segment's body), ``w`` the
+        # segment's progress (work done, or an ABFT section's scaled
+        # remaining work).  Every failure cursor starts on its row's
+        # sentinel, so the first round fills every row.
+        row = np.arange(n)
+        cur = row * width + block
+        t = np.zeros(n)
+        w = np.full(n, init_tab[0] if nseg else 0.0)
+        seg = np.zeros(n, dtype=np.int64)
+        rep = np.zeros(n, dtype=np.int64)
+        restart = np.zeros(n, dtype=bool)
+        fails = np.zeros(n, dtype=np.int64)
+        acc = {category: np.zeros(n) for category in touched}
+        fin = np.full(n, nseg == 0)
+
+        rounds = trial_rounds = 0
         while True:
-            idx = np.flatnonzero(active)
-            if idx.size == 0:
-                break
-            # Cap check first, exactly like _check_cap at the top of every
-            # event-backend loop iteration (section body or restart alike).
-            over = t[idx] > cap
-            if over.any():
-                hit = idx[over]
-                truncated[hit] = True
-                makespan[hit] = t[hit]
-                active[hit] = False
-                idx = idx[~over]
-                if idx.size == 0:
-                    continue
-            ensure(idx)
+            # Retire the trials that finished the schedule last round and
+            # those past the cap (the event walk's check at the top of
+            # every loop iteration), then compact the live arrays.
+            over = t > cap
+            out = over | fin
+            if out.any():
+                gone = np.flatnonzero(out)
+                rows = row[gone]
+                makespan[rows] = t[gone]
+                truncated[rows] = ~fin[gone]
+                failure_count[rows] = fails[gone]
+                for category in touched:
+                    columns[category][rows] = acc[category][gone]
+                keep = np.flatnonzero(~out)
+                if not keep.size:
+                    break
+                row, cur, t, w, seg, rep, restart, fails = (
+                    a[keep] for a in (row, cur, t, w, seg, rep, restart, fails)
+                )
+                acc = {category: a[keep] for category, a in acc.items()}
+            live = row.size
+            rounds += 1
+            trial_rounds += live
+            fin = np.zeros(live, dtype=bool)
+            # A one-segment schedule reads its parameters as scalars.
+            s = seg if nseg > 1 else 0
 
-            in_body = mode[idx] == 0
-            body = idx[in_body]
-            rst = idx[~in_body]
+            nf = flat[cur]
+            stale = nf <= t
+            if stale.any():
+                regather(np.flatnonzero(stale), nf, cur, t, row)
 
-            if body.size:
-                body_kind = kind_arr[seg[body]]
-
-                # ---- periodic sections -------------------------------- #
-                per = body[body_kind == _KIND_PERIODIC]
-                if per.size:
-                    s = seg[per]
-                    nf = F[per, k[per] - base[per]]
-                    wk = work_arr[s]
-                    chunk = np.minimum(chunk_arr[s], wk - w[per])
-                    is_last = w[per] + chunk >= wk - _WORK_EPSILON
-                    do_ckpt = trailing_arr[s] | ~is_last
-                    ckpt = ckpt_arr[s]
-                    seg_len = np.where(do_ckpt, chunk + ckpt, chunk)
-                    ok = nf >= t[per] + seg_len
-
-                    suc = per[ok]
-                    if suc.size:
-                        acc["useful_work"][suc] += chunk[ok]
-                        cmask = do_ckpt[ok] & (ckpt[ok] > 0.0)
-                        if cmask.any():
-                            acc["checkpointing"][suc[cmask]] += ckpt[ok][cmask]
-                        t[suc] += seg_len[ok]
-                        w[suc] += chunk[ok]
-                        done = w[suc] >= wk[ok]
-                        finished = suc[done]
-                        advance(suc[~done])
-                        if finished.size:
-                            advance(complete(finished))
-
-                    fail = per[~ok]
-                    if fail.size:
-                        failed_at = nf[~ok]
-                        acc["lost_work"][fail] += failed_at - t[fail]
-                        failures[fail] += 1
-                        t[fail] = failed_at
-                        restartable = has_restart_arr[seg[fail]]
-                        mode[fail[restartable]] = 1
-                        advance(fail)
-
-                # ---- atomic segments ---------------------------------- #
-                ato = body[body_kind == _KIND_ATOMIC]
-                if ato.size:
-                    s = seg[ato]
-                    nf = F[ato, k[ato] - base[ato]]
-                    dur = duration_arr[s]
-                    ok = nf >= t[ato] + dur
-
-                    suc = ato[ok]
-                    if suc.size:
-                        # The event walk accounts only positive amounts;
-                        # adding 0.0 is bit-identical.
-                        acc["useful_work"][suc] += work_arr[s][ok]
-                        acc["checkpointing"][suc] += ckpt_arr[s][ok]
-                        t[suc] += dur[ok]
-                        advance(complete(suc))
-
-                    fail = ato[~ok]
-                    if fail.size:
-                        failed_at = nf[~ok]
-                        acc["lost_work"][fail] += failed_at - t[fail]
-                        failures[fail] += 1
-                        t[fail] = failed_at
-                        restartable = has_restart_arr[seg[fail]]
-                        mode[fail[restartable]] = 1
-                        advance(fail)
-
-                # ---- ABFT sections ------------------------------------ #
-                abf = body[body_kind == _KIND_ABFT]
-                if abf.size:
-                    s = seg[abf]
-                    nf = F[abf, k[abf] - base[abf]]
-                    rem = w[abf]
-                    phi = phi_arr[s]
-                    ok = nf >= t[abf] + rem
-
-                    suc = abf[ok]
-                    if suc.size:
-                        useful = rem[ok] / phi[ok]
-                        acc["useful_work"][suc] += useful
-                        acc["abft_overhead"][suc] += rem[ok] - useful
-                        t[suc] += rem[ok]
-                        advance(complete(suc))
-
-                    fail = abf[~ok]
-                    if fail.size:
-                        elapsed = nf[~ok] - t[fail]
-                        useful = elapsed / phi[~ok]
-                        acc["useful_work"][fail] += useful
-                        acc["abft_overhead"][fail] += elapsed - useful
-                        w[fail] = w[fail] - elapsed
-                        failures[fail] += 1
-                        t[fail] = nf[~ok]
-                        restartable = has_restart_arr[seg[fail]]
-                        mode[fail[restartable]] = 1
-                        # Without a restart sequence the event walk falls
-                        # straight back to the loop condition: a residual
-                        # below the cutoff ends the section.
-                        bare = fail[~restartable]
-                        exhausted = (
-                            bare[w[bare] <= _WORK_EPSILON]
-                            if bare.size
-                            else bare
+            # ---- restart sequences ----------------------------------- #
+            if restart_sets and restart.any():
+                if len(restart_sets) == 1:
+                    groups = ((restart_sets[0], restart),)
+                else:
+                    sid = stage_tab[s]
+                    groups = tuple(
+                        (entry, restart & (sid == entry[0]))
+                        for entry in restart_sets
+                    )
+                for (_, stages, total), grp in groups:
+                    end = t + total
+                    ok = nf >= end
+                    suc = grp & ok
+                    fail = grp ^ suc
+                    remaining = nf - t
+                    for category, duration in stages:
+                        # A failed attempt charges min(remaining, stage)
+                        # per stage in order, like run_restart.
+                        spent = np.minimum(remaining, duration)
+                        acc[category] += np.where(
+                            suc, duration, np.where(fail, spent, 0.0)
                         )
-                        advance(fail)
-                        if exhausted.size:
-                            advance(complete(exhausted))
-
-            if rst.size:
-                rst_sids = stage_id_arr[seg[rst]]
-                for sid in np.unique(rst_sids):
-                    grp = rst[rst_sids == sid]
-                    stages = stage_sets[sid]
-                    total = float(stage_totals[sid])
-                    nf = F[grp, k[grp] - base[grp]]
-                    ok = nf >= t[grp] + total
-
-                    suc = grp[ok]
-                    if suc.size:
-                        for category, duration in stages:
-                            if duration > 0.0:
-                                acc[category][suc] += duration
-                        t[suc] += total
-                        mode[suc] = 0
+                        remaining -= spent
+                    t = np.where(grp, np.minimum(nf, end), t)
+                    fails += fail
+                    cur += fail
+                    restart = restart ^ suc
+                    if _KIND_ABFT in kinds:
                         # An ABFT section whose remaining work fell below
-                        # the cutoff ends right after its restart, exactly
-                        # like the event walk's while-condition re-check.
-                        abft_done = suc[
-                            (kind_arr[seg[suc]] == _KIND_ABFT)
-                            & (w[suc] <= _WORK_EPSILON)
-                        ]
-                        advance(suc)
-                        if abft_done.size:
-                            advance(complete(abft_done))
+                        # the cutoff ends right after its restart, like the
+                        # event walk's while-condition re-check.
+                        complete(
+                            suc & (kind_tab[s] == _KIND_ABFT) & (w <= _WORK_EPSILON),
+                            seg,
+                            rep,
+                            w,
+                            fin,
+                        )
 
-                    fail = grp[~ok]
-                    if fail.size:
-                        failed_at = nf[~ok]
-                        remaining = failed_at - t[fail]
-                        for category, duration in stages:
-                            spent = np.minimum(remaining, duration)
-                            acc[category][fail] += spent
-                            remaining = remaining - spent
-                        failures[fail] += 1
-                        t[fail] = failed_at
-                        advance(fail)
+            # ---- segment bodies --------------------------------------- #
+            # A restart that ended strictly before the next failure goes on
+            # into its segment body in the same round, after the cap check.
+            body = ~(restart | fin) & (nf > t) & (t <= cap)
+            if mixed:
+                kind = kind_tab[s]
+
+            if _KIND_PERIODIC in kinds:
+                act = body & (kind == _KIND_PERIODIC) if mixed else body
+                work, size, slack = work_tab[s], chunk_tab[s], slack_tab[s]
+                ckpt, paid, trailing = ckpt_tab[s], paid_ckpt[s], trailing_tab[s]
+                has_restart = restart_tab[s]
+                for step in range(CHUNKS_PER_ROUND):
+                    chunk = np.minimum(size, work - w)
+                    grown = w + chunk
+                    do_ckpt = (grown < slack) | trailing
+                    end = t + np.where(do_ckpt, chunk + ckpt, chunk)
+                    ok = nf >= end
+                    suc = act & ok
+                    fail = act ^ suc
+                    acc["useful_work"] += np.where(suc, chunk, 0.0)
+                    acc["checkpointing"] += np.where(suc & do_ckpt, paid, 0.0)
+                    acc["lost_work"] += np.where(fail, nf - t, 0.0)
+                    t = np.where(act, np.minimum(nf, end), t)
+                    w = np.where(suc, grown, w)
+                    fails += fail
+                    cur += fail
+                    restart |= fail & has_restart
+                    done = suc & (grown >= work)
+                    complete(done, seg, rep, w, fin)
+                    if step + 1 == CHUNKS_PER_ROUND:
+                        break
+                    # The next chunk runs against the same failure while it
+                    # is still strictly after the clock and the cap holds.
+                    act = suc & ~done & (nf > t) & (t <= cap)
+                    if not act.any():
+                        break
+
+            if _KIND_ATOMIC in kinds:
+                act = body & (kind == _KIND_ATOMIC) if mixed else body
+                end = t + duration_tab[s]
+                ok = nf >= end
+                suc = act & ok
+                fail = act ^ suc
+                acc["useful_work"] += np.where(suc, paid_work[s], 0.0)
+                acc["checkpointing"] += np.where(suc, paid_ckpt[s], 0.0)
+                acc["lost_work"] += np.where(fail, nf - t, 0.0)
+                t = np.where(act, np.minimum(nf, end), t)
+                fails += fail
+                cur += fail
+                restart |= fail & restart_tab[s]
+                complete(suc, seg, rep, w, fin)
+
+            if _KIND_ABFT in kinds:
+                act = body & (kind == _KIND_ABFT) if mixed else body
+                end = t + w
+                ok = nf >= end
+                suc = act & ok
+                fail = act ^ suc
+                elapsed = np.where(ok, w, nf - t)
+                useful = elapsed / phi_tab[s]
+                acc["useful_work"] += np.where(act, useful, 0.0)
+                acc["abft_overhead"] += np.where(act, elapsed - useful, 0.0)
+                t = np.where(act, np.minimum(nf, end), t)
+                w = np.where(fail, w - elapsed, w)
+                fails += fail
+                cur += fail
+                has_restart = restart_tab[s]
+                restart |= fail & has_restart
+                # Without a restart sequence the event walk falls straight
+                # back to the loop condition: a residual below the cutoff
+                # ends the section.
+                complete(
+                    suc | (fail & ~has_restart & (w <= _WORK_EPSILON)),
+                    seg,
+                    rep,
+                    w,
+                    fin,
+                )
 
         gather_begin = time.perf_counter() if profile else 0.0
         table = TrialTable.empty(
@@ -917,10 +978,10 @@ class VectorizedPhasedSimulator:
             data["waste"] = 0.0
         else:
             data["waste"] = 1.0 - self._application_time / makespan
-        data["failure_count"] = failures
+        data["failure_count"] = failure_count
         data["truncated"] = truncated
-        for category in CATEGORIES:
-            data[category] = acc[category]
+        for category in touched:
+            data[category] = columns[category]
         if profile:
             finish = time.perf_counter()
             phases["derive"] += derive_seconds
@@ -929,31 +990,39 @@ class VectorizedPhasedSimulator:
                 gather_begin - run_begin - derive_seconds - sample_seconds
             )
             phases["gather"] += finish - gather_begin
+            counts["rounds"] += rounds
+            counts["trial_rounds"] += trial_rounds
         return table
 
     def _record_run_metrics(
-        self, trials: int, span, **phase_seconds: float
+        self,
+        trials: int,
+        span,
+        phases: Dict[str, float],
+        counts: Dict[str, int],
     ) -> None:
         """Accumulate one instrumented run into the global registry.
 
-        When an engine span is open (tracing), the phase split also rides
-        on the span as arguments -- that is how per-shard phase timings
-        from pool workers reach the exported trace, since worker-side
-        registries are process-local and never shipped home.
+        When an engine span is open (tracing), the phase split and the round
+        counts also ride on the span as arguments -- that is how per-shard
+        figures from pool workers reach the exported trace, since
+        worker-side registries are process-local and never shipped home.
         """
-        phases = _obs.catalog.family("repro_engine_phase_seconds_total")
-        for phase, seconds in phase_seconds.items():
-            phases.inc(max(seconds, 0.0), phase=phase, protocol=self._protocol)
-        _obs.catalog.family("repro_engine_runs_total").inc(
-            protocol=self._protocol
-        )
-        _obs.catalog.family("repro_engine_trials_total").inc(
-            trials, protocol=self._protocol
-        )
+        phase_family = _obs.catalog.family("repro_engine_phase_seconds_total")
+        for phase, seconds in phases.items():
+            phase_family.inc(max(seconds, 0.0), phase=phase, protocol=self._protocol)
+        for family, amount in (
+            ("repro_engine_runs_total", 1),
+            ("repro_engine_trials_total", trials),
+            ("repro_engine_rounds_total", counts["rounds"]),
+            ("repro_engine_trial_rounds_total", counts["trial_rounds"]),
+        ):
+            _obs.catalog.family(family).inc(amount, protocol=self._protocol)
         if span is not None:
             span.set_args(
                 **{
                     f"{phase}_seconds": round(max(seconds, 0.0), 6)
-                    for phase, seconds in phase_seconds.items()
-                }
+                    for phase, seconds in phases.items()
+                },
+                **counts,
             )
