@@ -14,6 +14,7 @@ import pytest
 
 from repro.campaign import ParallelMonteCarloExecutor, SweepJob, SweepRunner
 from repro.core.protocols import AbftPeriodicCkptSimulator
+from repro.core.registry import resolve_protocol
 from repro.simulation import run_monte_carlo
 from repro.utils.units import MINUTE
 
@@ -34,7 +35,7 @@ def test_campaign_serial(benchmark, campaign_simulator):
 
 
 def test_campaign_parallel_processes(benchmark, campaign_simulator):
-    executor = ParallelMonteCarloExecutor(workers=2, backend="process")
+    executor = ParallelMonteCarloExecutor(workers=2)
     result = benchmark(
         executor.run, campaign_simulator.simulate_once, runs=RUNS, seed=SEED
     )
@@ -53,8 +54,26 @@ def _analytical_grid_job(paper_parameters) -> SweepJob:
     )
 
 
-@pytest.mark.parametrize("vectorized", [True, False], ids=["vectorized", "scalar"])
-def test_analytical_sweep(benchmark, paper_parameters, vectorized):
+def _scalar_grid(job):
+    """The grid from per-point model objects: the reference the
+    one-pass grid replaces."""
+    return [
+        {
+            name: resolve_protocol(name)
+            .model_cls(job.parameters.with_mtbf(mtbf))
+            .waste(job.workload(alpha))
+            for name in job.protocols
+        }
+        for mtbf, alpha in job.grid()
+    ]
+
+
+@pytest.mark.parametrize("path", ["vectorized", "scalar"])
+def test_analytical_sweep(benchmark, paper_parameters, path):
     job = _analytical_grid_job(paper_parameters)
-    result = benchmark(SweepRunner(vectorized=vectorized).run, job)
-    assert len(result.points) == len(job.mtbf_values) * len(job.alpha_values)
+    if path == "vectorized":
+        points = benchmark(SweepRunner().run, job).points
+        wastes = [point.model_waste for point in points]
+    else:
+        wastes = benchmark(_scalar_grid, job)
+    assert len(wastes) == len(job.mtbf_values) * len(job.alpha_values)

@@ -53,6 +53,14 @@ from repro.core.protocols import (
 from repro.core.registry import resolve_protocol
 from repro.failures import LogNormalFailureModel, WeibullFailureModel
 from repro.simulation.rng import RandomStreams
+from repro.simulation.schedule import (
+    SimulationHorizonExceeded,
+    periodic_chunk_size,
+    run_abft_section,
+    run_atomic_segment,
+    run_periodic_section,
+    run_restart,
+)
 from repro.simulation.trace import CATEGORIES
 from repro.utils import DAY, HOUR, MINUTE
 
@@ -297,36 +305,69 @@ def test_vectorized_speedup_on_sweep_point(protocol):
 # Gate 4: the schedule interpreter does not tax the event backend.
 # --------------------------------------------------------------------- #
 # The pre-IR hand-written walks, verbatim, as _run overrides on the
-# production simulators (the base class keeps the building-block helpers
-# for exactly this): the timing reference the interpreter is gated
+# production simulators, composed from the run_* walk functions of
+# repro.simulation.schedule: the timing reference the interpreter is gated
 # against.  tests/property/test_property_schedule.py pins that the two
 # are bit-identical; this module pins that they cost the same.
+def _cap(simulator):
+    """The walk's truncation check at ``max_slowdown * T0``."""
+
+    def check(time_now):
+        if time_now > simulator._max_makespan:
+            raise SimulationHorizonExceeded(time_now)
+
+    return check
+
+
+def _rollback(params, recovery_cost):
+    """Downtime + full rollback recovery (the checkpointing protocols)."""
+    return (("downtime", params.downtime), ("recovery", recovery_cost))
+
+
+def _periodic(simulator, time_now, work, timeline, recorder, *, checkpoint_cost,
+              recovery_cost, period, trailing_checkpoint):
+    return run_periodic_section(
+        time_now,
+        work,
+        timeline,
+        recorder,
+        chunk_size=periodic_chunk_size(period, checkpoint_cost, work),
+        checkpoint_cost=checkpoint_cost,
+        trailing_checkpoint=trailing_checkpoint,
+        restart_stages=_rollback(simulator._params, recovery_cost),
+        check_cap=_cap(simulator),
+    )
+
+
 class _LegacyNoFT(NoFaultToleranceSimulator):
     def _run(self, timeline, recorder):
         from repro.simulation.events import EventKind
 
         work = self._workload.total_time
+        check_cap = _cap(self)
         time_now = 0.0
         while True:
-            self._check_cap(time_now)
+            check_cap(time_now)
             next_failure = timeline.next_failure_after(time_now)
             if next_failure >= time_now + work:
                 recorder.account("useful_work", work)
                 return time_now + work
             recorder.account("lost_work", next_failure - time_now)
             recorder.record(next_failure, EventKind.FAILURE, during="no-ft")
-            time_now = self._restart(
+            time_now = run_restart(
                 next_failure,
                 timeline,
                 recorder,
                 (("downtime", self._params.downtime),),
+                check_cap=check_cap,
             )
 
 
 class _LegacyPurePeriodic(PurePeriodicCkptSimulator):
     def _run(self, timeline, recorder):
         params = self._params
-        return self._periodic_section(
+        return _periodic(
+            self,
             0.0,
             self._workload.total_time,
             timeline,
@@ -360,7 +401,8 @@ class _LegacyBiPeriodic(BiPeriodicCkptSimulator):
                     EventKind.LIBRARY_PHASE_END,
                 )
             recorder.record(time_now, enter)
-            time_now = self._periodic_section(
+            time_now = _periodic(
+                self,
                 time_now,
                 duration,
                 timeline,
@@ -387,7 +429,8 @@ class _LegacyAbftPeriodic(AbftPeriodicCkptSimulator):
             recorder.record(time_now, EventKind.GENERAL_PHASE_START)
             general_time = epoch.general_time
             if not math.isnan(general_period) and general_time >= general_period:
-                time_now = self._periodic_section(
+                time_now = _periodic(
+                    self,
                     time_now,
                     general_time,
                     timeline,
@@ -398,28 +441,37 @@ class _LegacyAbftPeriodic(AbftPeriodicCkptSimulator):
                     trailing_checkpoint=True,
                 )
             else:
-                time_now = self._unprotected_section(
+                time_now = run_atomic_segment(
                     time_now,
                     general_time,
                     timeline,
                     recorder,
-                    recovery_cost=params.full_recovery,
                     checkpoint_cost=params.remainder_checkpoint,
+                    restart_stages=_rollback(params, params.full_recovery),
+                    check_cap=_cap(self),
                 )
             recorder.record(time_now, EventKind.GENERAL_PHASE_END)
             if epoch.library_time <= 0.0:
                 continue
             if self._library_uses_abft(epoch):
-                time_now = self._abft_section(
+                time_now = run_abft_section(
                     time_now,
                     epoch.library_time,
                     timeline,
                     recorder,
+                    phi=params.phi,
+                    restart_stages=(
+                        ("downtime", params.downtime),
+                        ("recovery", params.remainder_recovery_cost),
+                        ("abft_recovery", params.abft_reconstruction),
+                    ),
                     exit_checkpoint_cost=params.library_checkpoint,
+                    check_cap=_cap(self),
                 )
             else:
                 recorder.record(time_now, EventKind.LIBRARY_PHASE_START)
-                time_now = self._periodic_section(
+                time_now = _periodic(
+                    self,
                     time_now,
                     epoch.library_time,
                     timeline,

@@ -101,7 +101,7 @@ def _time_serial(engine, trials: int) -> float:
 
 
 def _time_sharded(engine, trials: int, workers: int) -> float:
-    executor = ShardedVectorizedExecutor(workers=workers, backend="process")
+    executor = ShardedVectorizedExecutor(workers=workers)
     start = time.perf_counter()
     executor.run(engine, runs=trials, seed=SEED)
     return time.perf_counter() - start
@@ -122,9 +122,9 @@ def test_sharded_speedup_floor(workers):
     engine = _engine()
     # The gated run doubles as a correctness check on the real pool.
     serial_table = engine.run_trials(SHARD_TRIALS, seed=SEED)
-    sharded_table = ShardedVectorizedExecutor(
-        workers=workers, backend="process"
-    ).run(engine, runs=SHARD_TRIALS, seed=SEED)
+    sharded_table = ShardedVectorizedExecutor(workers=workers).run(
+        engine, runs=SHARD_TRIALS, seed=SEED
+    )
     assert sharded_table == serial_table
     serial_seconds = min(_time_serial(engine, SHARD_TRIALS) for _ in range(3))
     sharded_seconds = min(
@@ -261,7 +261,7 @@ def test_write_multicore_trajectory():
 # --------------------------------------------------------------------- #
 def test_bench_sharded_engine(benchmark):
     engine = _engine()
-    executor = ShardedVectorizedExecutor(workers="auto", backend="process")
+    executor = ShardedVectorizedExecutor(workers="auto")
     table = benchmark.pedantic(
         executor.run,
         args=(engine,),

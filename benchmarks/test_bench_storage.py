@@ -187,7 +187,7 @@ def test_storage_cell_shards_bit_identically():
     engine = _engine(_storage_parameters())
     runs = 5_000 if QUICK else 20_000
     serial = engine.run_trials(runs, seed=SEED)
-    sharded = ShardedVectorizedExecutor(workers=2, backend="process").run(
+    sharded = ShardedVectorizedExecutor(workers=2).run(
         engine, runs=runs, seed=SEED
     )
     assert sharded == serial

@@ -62,7 +62,7 @@ def main() -> None:
     # ------------------------------------------------------------------ #
     simulator = PurePeriodicCkptSimulator(parameters, workload)
     serial = run_monte_carlo(simulator.simulate_once, runs=200, seed=2014)
-    executor = ShardedVectorizedExecutor(workers=4)  # backend="process"
+    executor = ShardedVectorizedExecutor(workers=4)
     sharded = executor.run(simulator, runs=200, seed=2014)
     print("Monte-Carlo campaign, 200 runs, seed 2014")
     print(f"  serial  mean waste : {serial.waste.mean!r}")

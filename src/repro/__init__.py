@@ -39,9 +39,7 @@ the whole (MTBF, alpha) plane.  :mod:`repro.campaign` makes that tractable:
   spawn_key=(i, 0))`` (the first child of the ``i``-th child of the root)
   exactly like the serial runner, and the shard tables are concatenated in
   trial order, so the same root seed yields **bit-identical** results for
-  any worker count.  :class:`~repro.campaign.ParallelMonteCarloExecutor` is
-  its ``simulate_once -> MonteCarloResult`` face, and
-  ``MonteCarloRunner(workers=N)`` exposes the same knob.
+  any worker count.
 * :class:`~repro.campaign.SweepRunner` materialises (MTBF, alpha) grids as
   resumable jobs.  Completed points are stored one-JSON-file-per-point in a
   cache directory, keyed by the parameter scalars, the point's coordinates,
@@ -119,7 +117,6 @@ from repro.scenario import (
 )
 from repro.simulation import (
     MonteCarloResult,
-    MonteCarloRunner,
     TrialTable,
     run_monte_carlo,
 )
@@ -162,7 +159,6 @@ __all__ = [
     "AbftPeriodicCkptSimulator",
     "run_monte_carlo",
     "MonteCarloResult",
-    "MonteCarloRunner",
     "TrialTable",
     # Campaign execution
     "ParallelMonteCarloExecutor",

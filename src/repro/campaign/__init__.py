@@ -13,8 +13,8 @@ structure up:
   ``run_trial_range``; each trial's RNG is
   derived exactly as the serial runner derives it, so the same root seed
   produces a bit-identical table for any worker count.
-  :class:`ParallelMonteCarloExecutor` is its ``simulate_once ->
-  MonteCarloResult`` face for any single-trial callable;
+  :class:`ParallelMonteCarloExecutor` runs a single-trial ``simulate_once``
+  callable through it and summarises the table;
 * :mod:`repro.campaign.cache` -- :class:`SweepCache`, a crash-tolerant
   one-JSON-file-per-point result store;
 * :mod:`repro.campaign.sweep_runner` -- :class:`SweepRunner` /
@@ -34,7 +34,6 @@ from repro.campaign.executor import (
     resolve_worker_count,
 )
 from repro.campaign.sweep_runner import (
-    CAMPAIGN_PROTOCOLS,
     GridPoint,
     SweepJob,
     SweepResult,
@@ -47,7 +46,6 @@ __all__ = [
     "ParallelMonteCarloExecutor",
     "ShardedVectorizedExecutor",
     "resolve_worker_count",
-    "CAMPAIGN_PROTOCOLS",
     "GridPoint",
     "SweepJob",
     "SweepResult",

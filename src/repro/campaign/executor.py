@@ -12,9 +12,9 @@ batch has at least as many campaigns as workers, else cut into contiguous
 trial shards, and the columnar :class:`~repro.simulation.table.TrialTable`
 slices are concatenated in trial order, so inter-process transfer is one
 engine pickle and one structured-array pickle per unit.
-:class:`ParallelMonteCarloExecutor` is the ``simulate_once ->
-MonteCarloResult`` face of the same executor, for any single-trial
-callable.
+:class:`ParallelMonteCarloExecutor` runs a single-trial ``simulate_once``
+callable through the same executor and summarises the table as a
+:class:`~repro.simulation.runner.MonteCarloResult`.
 
 Determinism guarantee
 ---------------------
@@ -23,8 +23,8 @@ Trial ``i`` draws its random generator from
 serial path uses -- whichever unit runs it, so unit boundaries are
 invisible: the same root seed produces a bit-identical table (and
 :class:`~repro.simulation.runner.MonteCarloResult`) for any worker count,
-batch, backend or engine (the property tests assert ``==``, not
-approximate equality).  With ``seed=None`` each trial draws fresh OS
+batch or engine (the property tests assert ``==``, not approximate
+equality).  With ``seed=None`` each trial draws fresh OS
 entropy, exactly like the serial path, and no reproducibility is promised.
 
 Backend selection
@@ -54,9 +54,12 @@ from repro.core.registry import resolve_protocol
 from repro.simulation.runner import (
     MonteCarloResult,
     SimulateOnce,
-    run_monte_carlo,
     simulate_trial_range,
 )
+
+# Not called here: perfbench's layer timers wrap this module attribute.
+# It goes once perfbench reads its event-walk figures from repro.obs.
+from repro.simulation.runner import run_monte_carlo  # noqa: F401
 from repro.simulation.table import TrialTable
 from repro.simulation.vectorized import (
     ENGINE_BACKENDS,
@@ -72,9 +75,6 @@ __all__ = [
     "campaign_engine",
     "resolve_worker_count",
 ]
-
-#: Execution backends: worker processes, or the same plan in process.
-BACKENDS = ("process", "serial")
 
 #: One campaign of a batch: ``(engine, runs, seed)``.
 Campaign = Tuple[Any, int, Optional[int]]
@@ -161,28 +161,14 @@ class ShardedVectorizedExecutor:
     workers:
         Worker count; ``None`` or ``"auto"`` resolves through
         :func:`resolve_worker_count`.  One worker runs serially in process
-        with no pool.
-    backend:
-        ``"process"`` (default; the engine must be picklable, which every
-        protocol simulator is) or ``"serial"`` -- the latter executes the
-        same plan in-process, which pins the shard-boundary arithmetic in
-        fast tests without pool start-up cost.
+        with no pool; more need a picklable engine, which every protocol
+        simulator is.
     """
 
-    def __init__(
-        self,
-        *,
-        workers: Optional[int | str] = None,
-        backend: str = "process",
-    ) -> None:
-        if backend not in BACKENDS:
-            raise ValueError(
-                f"unknown backend {backend!r}; expected one of {BACKENDS}"
-            )
+    def __init__(self, *, workers: Optional[int | str] = None) -> None:
         if workers is not None and workers != "auto" and int(workers) <= 0:
             raise ValueError(f"workers must be a positive integer, got {workers}")
         self._workers = workers
-        self._backend = backend
 
     # ------------------------------------------------------------------ #
     @property
@@ -191,11 +177,6 @@ class ShardedVectorizedExecutor:
         if self._workers is not None and self._workers != "auto":
             return int(self._workers)
         return resolve_worker_count(None, 1 << 62)
-
-    @property
-    def backend(self) -> str:
-        """The configured execution backend."""
-        return self._backend
 
     def shard_ranges(self, runs: int, campaigns: int = 1) -> list[tuple[int, int]]:
         """The ``[start, stop)`` units of one campaign in a batch.
@@ -228,13 +209,14 @@ class ShardedVectorizedExecutor:
         also when a unit raises or the caller closes the iterator early
         (``contextlib.closing``).  At most twice the pool size of units are
         submitted ahead of the consumer, so finished tables do not pile up.
-        One worker, one unit or ``backend="serial"`` run in process.
+        With one worker or one unit, a campaign is a single shard run in
+        process.
         """
         batch = [(engine, int(runs), seed) for engine, runs, seed in campaigns]
         plans = [self.shard_ranges(runs, len(batch)) for _, runs, _ in batch]
         units = sum(len(shards) for shards in plans)
         workers = self.workers
-        pool_size = min(workers, units) if self._backend == "process" else 0
+        pool_size = min(workers, units)
         pooled = pool_size > 1
         if batch and workers > 1:
             plan = {
@@ -255,35 +237,21 @@ class ShardedVectorizedExecutor:
         return self._run_in_process(batch, plans)
 
     def _run_in_process(self, batch, plans) -> Iterator[TrialTable]:
+        # Without a pool every campaign is a single shard.
         for (engine, runs, seed), shards in zip(batch, plans):
+            self._count_shards(shards)
             if _obs.tracing():
-                # Engine (and shard) spans nest under the campaign span
-                # through the thread-local stack.
+                # The engine span nests under the campaign span through the
+                # thread-local stack.
                 with _obs.span(
                     "campaign",
                     category="campaign",
                     **self._campaign_args(engine, runs, shards),
                 ):
-                    table = self._run_shards_here(engine, seed, shards, True)
+                    table = engine.run_trial_range(0, runs, seed)
             else:
-                table = self._run_shards_here(engine, seed, shards, False)
+                table = engine.run_trial_range(0, runs, seed)
             yield table
-
-    def _run_shards_here(self, engine, seed, shards, tracing: bool) -> TrialTable:
-        self._count_shards(shards)
-        if len(shards) == 1:
-            start, stop = shards[0]
-            return engine.run_trial_range(start, stop, seed)
-        tables = []
-        for start, stop in shards:
-            if tracing:
-                with _obs.span(
-                    "shard", category="campaign", start=int(start), stop=int(stop)
-                ):
-                    tables.append(engine.run_trial_range(start, stop, seed))
-            else:
-                tables.append(engine.run_trial_range(start, stop, seed))
-        return TrialTable.concatenate(tables)
 
     def _run_pooled(self, batch, plans, pool_size: int) -> Iterator[TrialTable]:
         tracing = _obs.tracing()
@@ -333,7 +301,6 @@ class ShardedVectorizedExecutor:
     def _campaign_args(self, engine, runs: int, shards) -> dict:
         return {
             "engine": getattr(engine, "engine_kind", "event"),
-            "backend": self._backend,
             "protocol": getattr(engine, "protocol", None),
             "runs": int(runs),
             "shards": len(shards),
@@ -341,15 +308,10 @@ class ShardedVectorizedExecutor:
 
     def _count_shards(self, shards) -> None:
         if _obs.enabled():
-            _obs.catalog.family("repro_campaign_shards_total").inc(
-                len(shards), backend=self._backend
-            )
+            _obs.catalog.family("repro_campaign_shards_total").inc(len(shards))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return (
-            f"ShardedVectorizedExecutor(workers={self._workers!r}, "
-            f"backend={self._backend!r})"
-        )
+        return f"ShardedVectorizedExecutor(workers={self._workers!r})"
 
 
 @dataclass(frozen=True)
@@ -372,56 +334,28 @@ class _SimulateOnceEngine:
 class ParallelMonteCarloExecutor:
     """Run a ``simulate_once`` campaign over the trial-range shards.
 
-    Same signature and result as
-    :func:`~repro.simulation.runner.run_monte_carlo`, with the trials split
-    exactly as :class:`ShardedVectorizedExecutor` splits an engine's, so the
-    result is bit-identical to the serial runner for any worker count.
-    ``workers`` and ``backend`` are those of
-    :class:`ShardedVectorizedExecutor`.  ``keep_traces=True`` runs in
-    process through ``run_monte_carlo``: the traces stay where they are
-    made.
+    The trials are split exactly as :class:`ShardedVectorizedExecutor`
+    splits an engine's, so the result equals
+    :func:`~repro.simulation.runner.run_monte_carlo`'s for any worker count.
+    ``workers`` is that of :class:`ShardedVectorizedExecutor`.
     """
 
-    def __init__(
-        self,
-        *,
-        workers: Optional[int | str] = None,
-        backend: str = "process",
-    ) -> None:
-        self._shards = ShardedVectorizedExecutor(workers=workers, backend=backend)
+    def __init__(self, *, workers: Optional[int | str] = None) -> None:
+        self._shards = ShardedVectorizedExecutor(workers=workers)
 
     @property
     def workers(self) -> int:
         """Effective worker count before the per-campaign trial cap."""
         return self._shards.workers
 
-    @property
-    def backend(self) -> str:
-        """The configured execution backend."""
-        return self._shards.backend
-
     def run(
-        self,
-        simulate_once: SimulateOnce,
-        *,
-        runs: int,
-        seed: Optional[int] = None,
-        keep_traces: bool = False,
-        confidence: float = 0.95,
+        self, simulate_once: SimulateOnce, *, runs: int, seed: Optional[int] = None
     ) -> MonteCarloResult:
-        """Run the campaign; same signature and result as ``run_monte_carlo``."""
-        if keep_traces:
-            return run_monte_carlo(
-                simulate_once,
-                runs=runs,
-                seed=seed,
-                keep_traces=True,
-                confidence=confidence,
-            )
+        """Run the campaign and summarise its table."""
         table = self._shards.run(
             _SimulateOnceEngine(simulate_once), runs=runs, seed=seed
         )
-        return MonteCarloResult.from_table(table, confidence=confidence)
+        return MonteCarloResult.from_table(table)
 
 
 def campaign_engine(

@@ -1,8 +1,7 @@
 """Resumable (MTBF, alpha) sweep campaigns with an on-disk result cache.
 
-:func:`repro.experiments.sweep.sweep_mtbf_alpha` is a one-shot generator: it
-evaluates the grid lazily and forgets everything afterwards.  The
-:class:`SweepRunner` materialises the same grids as restartable jobs:
+:class:`SweepRunner` is the one way to evaluate an (MTBF, alpha) grid.  It
+materialises the grid as a restartable job:
 
 * every grid point is cached on disk (:class:`~repro.campaign.cache.SweepCache`)
   under a key derived from the parameters, the point's coordinates, the
@@ -34,7 +33,6 @@ from repro.campaign.executor import ShardedVectorizedExecutor, campaign_engine
 from repro.core.analytical.grid import GRID_PROTOCOLS, waste_points
 from repro.core.parameters import ResilienceParameters
 from repro.core.registry import (
-    PROTOCOL_PAIRS,
     UnknownProtocolError,
     create_failure_model,
     protocol_names,
@@ -43,10 +41,7 @@ from repro.core.registry import (
 )
 from repro.simulation.vectorized import ENGINE_BACKENDS
 
-__all__ = ["SweepJob", "GridPoint", "SweepResult", "SweepRunner", "CAMPAIGN_PROTOCOLS"]
-
-#: The canonical protocol registry, re-exported under the campaign name.
-CAMPAIGN_PROTOCOLS = PROTOCOL_PAIRS
+__all__ = ["SweepJob", "GridPoint", "SweepResult", "SweepRunner"]
 
 
 @dataclass(frozen=True)
@@ -63,7 +58,8 @@ class SweepJob:
         Grid axes (MTBF in seconds, alpha in [0, 1]).
     protocols:
         Protocol names to evaluate (registered names or aliases; see
-        :func:`repro.core.registry.protocol_names`).
+        :func:`repro.core.registry.protocol_names`); the paper's three
+        protocols by default.
     library_fraction:
         ``rho`` of the workload's dataset; ``None`` uses the parameters'.
     epochs:
@@ -106,7 +102,7 @@ class SweepJob:
     application_time: float
     mtbf_values: Tuple[float, ...]
     alpha_values: Tuple[float, ...]
-    protocols: Tuple[str, ...] = tuple(CAMPAIGN_PROTOCOLS)
+    protocols: Tuple[str, ...] = protocol_names(paper_only=True)
     library_fraction: Optional[float] = None
     epochs: int = 1
     simulate: bool = False
@@ -187,7 +183,7 @@ class SweepJob:
         return float(self.library_fraction)
 
     def grid(self) -> list[Tuple[float, float]]:
-        """Grid points in sweep order (MTBF-major, like ``sweep_mtbf_alpha``)."""
+        """Grid points in sweep order: MTBF-major, alpha varying fastest."""
         return [(m, a) for m in self.mtbf_values for a in self.alpha_values]
 
     def point_key(self, mtbf: float, alpha: float) -> Dict[str, Any]:
@@ -337,16 +333,16 @@ class SweepRunner:
     resume:
         Consult existing cache entries (default).  ``False`` recomputes every
         point (entries are still rewritten, refreshing the cache).
-    workers / backend:
-        Worker-pool settings for the Monte-Carlo campaigns of simulated
-        points: a job's campaigns, on either engine, run as one batch on
-        :class:`~repro.campaign.executor.ShardedVectorizedExecutor`
-        (``backend`` is ``"process"`` or ``"serial"``), bit-identically to
-        one worker for any count.
-    vectorized:
-        Evaluate the analytical wastes of uncached points in one NumPy
-        broadcast pass (default) instead of per-point model objects.  Both
-        paths produce bit-identical values.
+    workers:
+        Worker-pool size for the Monte-Carlo campaigns of simulated points:
+        a job's campaigns, on either engine, run as one batch on
+        :class:`~repro.campaign.executor.ShardedVectorizedExecutor`,
+        bit-identically to one worker for any count.
+
+    The analytical wastes of uncached points are evaluated in one NumPy
+    broadcast pass when the job allows it (single-epoch workloads, no
+    ``model_params``, storage whose costs do not depend on the MTBF), else
+    per point from the registered models; both give bit-identical values.
     """
 
     def __init__(
@@ -355,15 +351,12 @@ class SweepRunner:
         cache_dir: Optional[str | Path] = None,
         resume: bool = True,
         workers: Optional[int] = None,
-        backend: str = "process",
-        vectorized: bool = True,
     ) -> None:
         self._cache = SweepCache(cache_dir) if cache_dir is not None else None
         self._resume = bool(resume)
         self._executor = ShardedVectorizedExecutor(
-            workers=1 if workers is None else workers, backend=backend
+            workers=1 if workers is None else workers
         )
-        self._vectorized = bool(vectorized)
 
     @property
     def cache(self) -> Optional[SweepCache]:
@@ -454,8 +447,7 @@ class SweepRunner:
         """Analytical waste of every protocol at the given points."""
         canonical = tuple(resolve_protocol(name).name for name in job.protocols)
         vectorizable = (
-            self._vectorized
-            and job.epochs == 1
+            job.epochs == 1
             and not job.model_params
             and set(canonical) <= set(GRID_PROTOCOLS)
             # The analytical grid broadcasts one fixed (C, R) over the MTBF

@@ -11,24 +11,21 @@ sequence is performed (itself restartable if further failures strike), and
 the protocol decides where execution resumes (last checkpoint, phase start,
 or -- for ABFT -- the exact point of interruption).
 
-Since the segment-schedule IR (:mod:`repro.simulation.schedule`), a concrete
-protocol no longer hand-writes that walk: it implements
+A concrete protocol does not hand-write that walk: it implements
 :meth:`ProtocolSimulator.compile_schedule` (usually by delegating to its
-module's registered ``compile_schedule()`` function) and the default
+module's registered ``compile_schedule()`` function), and
 :meth:`ProtocolSimulator._run` executes the compiled
 :class:`~repro.simulation.schedule.Schedule` through
-:class:`~repro.simulation.schedule.ScheduleInterpreter`.  The historical
-building-block helpers below (``_periodic_section``, ``_abft_section``, ...)
-are kept as thin wrappers over the canonical walk functions in
-:mod:`repro.simulation.schedule`, so subclasses that still override ``_run``
-imperatively (reference implementations in the test suite, downstream
-protocol prototypes) keep working bit for bit.
+:class:`~repro.simulation.schedule.ScheduleInterpreter`.  A simulator's
+behaviour therefore comes only from its compiled schedule; the walk's
+building blocks are the ``run_*`` functions of
+:mod:`repro.simulation.schedule`.
 """
 
 from __future__ import annotations
 
 import copy
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -39,28 +36,16 @@ from repro.obs import log
 from repro.failures.base import FailureModel
 from repro.failures.exponential import ExponentialFailureModel
 from repro.failures.timeline import FailureTimeline
+from repro.simulation.runner import simulate_trial_range
 from repro.simulation.schedule import (
     Schedule,
     ScheduleInterpreter,
     SimulationHorizonExceeded,
-    run_abft_section,
-    run_atomic_segment,
-    run_checkpoint,
-    run_periodic_section,
-    run_restart,
 )
-from repro.simulation.schedule import (
-    _account_abft_progress as _schedule_account_abft_progress,
-)
-from repro.simulation.runner import simulate_trial_range
-from repro.simulation.schedule import periodic_chunk_size
 from repro.simulation.table import TrialTable
 from repro.simulation.trace import ExecutionTrace, TraceRecorder
 
 __all__ = ["ProtocolSimulator", "SimulationHorizonExceeded"]
-
-#: Categories used when a restart sequence is interrupted mid-way.
-RestartStages = Sequence[tuple[str, float]]
 
 
 def _note_scalar_cost_api(simulator: str) -> None:
@@ -270,9 +255,7 @@ class ProtocolSimulator:
     def _run(self, timeline: FailureTimeline, recorder: TraceRecorder) -> float:
         """Execute the protected application; return the makespan.
 
-        The default implementation interprets the compiled segment schedule;
-        subclasses may still override it with a hand-written walk (the
-        building-block helpers below preserve the historical semantics).
+        Interprets the compiled segment schedule.
         """
         interpreter = ScheduleInterpreter(max_makespan=self._max_makespan)
         return interpreter.run(self._compiled_schedule(), timeline, recorder)
@@ -280,157 +263,3 @@ class ProtocolSimulator:
     def _metadata(self) -> dict:
         """Protocol-specific metadata stored in every trace."""
         return {}
-
-    # ------------------------------------------------------------------ #
-    # Building blocks
-    # ------------------------------------------------------------------ #
-    # Thin wrappers over the canonical walk functions in
-    # repro.simulation.schedule, kept so hand-written _run overrides (test
-    # reference implementations, protocol prototypes) compose the same
-    # bit-exact building blocks the interpreter executes.
-    def _check_cap(self, time: float) -> None:
-        if time > self._max_makespan:
-            raise SimulationHorizonExceeded(time)
-
-    def _restart(
-        self,
-        time: float,
-        timeline: FailureTimeline,
-        recorder: TraceRecorder,
-        stages: RestartStages,
-    ) -> float:
-        """Perform a restart sequence (downtime, recovery, ...), restartable.
-
-        See :func:`repro.simulation.schedule.run_restart`.
-        """
-        return run_restart(
-            time, timeline, recorder, stages, check_cap=self._check_cap
-        )
-
-    def _rollback_stages(self, recovery_cost: float) -> RestartStages:
-        """Downtime + full rollback recovery (the checkpointing protocols)."""
-        return (
-            ("downtime", self._params.downtime),
-            ("recovery", recovery_cost),
-        )
-
-    def _abft_restart_stages(self) -> RestartStages:
-        """Downtime + REMAINDER reload + ABFT reconstruction (LIBRARY phase)."""
-        return (
-            ("downtime", self._params.downtime),
-            ("recovery", self._params.remainder_recovery_cost),
-            ("abft_recovery", self._params.abft_reconstruction),
-        )
-
-    # .................................................................. #
-    def _periodic_section(
-        self,
-        time: float,
-        work: float,
-        timeline: FailureTimeline,
-        recorder: TraceRecorder,
-        *,
-        checkpoint_cost: float,
-        recovery_cost: float,
-        period: float,
-        trailing_checkpoint: bool,
-    ) -> float:
-        """Execute ``work`` seconds of work under periodic checkpointing.
-
-        See :func:`repro.simulation.schedule.run_periodic_section`; the
-        period-to-chunk mapping (an invalid period means a single chunk) is
-        :func:`repro.simulation.schedule.periodic_chunk_size`.
-        """
-        return run_periodic_section(
-            time,
-            work,
-            timeline,
-            recorder,
-            chunk_size=periodic_chunk_size(period, checkpoint_cost, work),
-            checkpoint_cost=checkpoint_cost,
-            trailing_checkpoint=trailing_checkpoint,
-            restart_stages=self._rollback_stages(recovery_cost),
-            check_cap=self._check_cap,
-        )
-
-    # .................................................................. #
-    def _unprotected_section(
-        self,
-        time: float,
-        work: float,
-        timeline: FailureTimeline,
-        recorder: TraceRecorder,
-        *,
-        recovery_cost: float,
-        checkpoint_cost: float = 0.0,
-    ) -> float:
-        """Execute ``work`` + an optional trailing checkpoint atomically.
-
-        See :func:`repro.simulation.schedule.run_atomic_segment`.
-        """
-        return run_atomic_segment(
-            time,
-            work,
-            timeline,
-            recorder,
-            checkpoint_cost=checkpoint_cost,
-            restart_stages=self._rollback_stages(recovery_cost),
-            check_cap=self._check_cap,
-        )
-
-    # .................................................................. #
-    def _checkpoint(
-        self,
-        time: float,
-        timeline: FailureTimeline,
-        recorder: TraceRecorder,
-        *,
-        checkpoint_cost: float,
-        restart_stages: RestartStages,
-        redo_on_failure: bool = True,
-    ) -> float:
-        """Write one checkpoint, handling failures during the write.
-
-        See :func:`repro.simulation.schedule.run_checkpoint`.
-        """
-        return run_checkpoint(
-            time,
-            timeline,
-            recorder,
-            checkpoint_cost=checkpoint_cost,
-            restart_stages=restart_stages,
-            redo_on_failure=redo_on_failure,
-            check_cap=self._check_cap,
-        )
-
-    # .................................................................. #
-    def _abft_section(
-        self,
-        time: float,
-        work: float,
-        timeline: FailureTimeline,
-        recorder: TraceRecorder,
-        *,
-        exit_checkpoint_cost: float,
-    ) -> float:
-        """Execute ``work`` seconds of computation under ABFT protection.
-
-        See :func:`repro.simulation.schedule.run_abft_section`.
-        """
-        return run_abft_section(
-            time,
-            work,
-            timeline,
-            recorder,
-            phi=self._params.phi,
-            restart_stages=self._abft_restart_stages(),
-            exit_checkpoint_cost=exit_checkpoint_cost,
-            check_cap=self._check_cap,
-        )
-
-    @staticmethod
-    def _account_abft_progress(
-        recorder: TraceRecorder, elapsed: float, phi: float
-    ) -> None:
-        """Split ABFT-protected wall-clock time into progress and overhead."""
-        _schedule_account_abft_progress(recorder, elapsed, phi)

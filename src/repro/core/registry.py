@@ -12,12 +12,9 @@ Lookups accept canonical names and aliases, case-insensitively.  Unknown
 names raise :class:`UnknownProtocolError` / :class:`UnknownFailureModelError`
 (both are also ``KeyError`` *and* ``ValueError`` subclasses, for
 compatibility with the pre-registry call sites) whose message lists the
-registered names and the nearest match.
-
-The historical ``PROTOCOL_PAIRS`` dict survives as a live, read-only mapping
-view over the registry restricted to the paper's three protocols, so code
-written against it keeps working unchanged; new code should prefer
-:func:`resolve_protocol` / :func:`resolve`.
+registered names and the nearest match.  The paper's headline protocols
+are ``protocol_names(paper_only=True)``; an entry's ``model_cls`` and
+``simulator_cls`` are its analytical model and event simulator.
 """
 
 from __future__ import annotations
@@ -30,7 +27,6 @@ from typing import (
     Any,
     Callable,
     Dict,
-    Iterator,
     Mapping,
     NamedTuple,
     Optional,
@@ -62,8 +58,6 @@ __all__ = [
     "build_storage",
     "resolve",
     "ResolvedProtocol",
-    "PROTOCOL_PAIRS",
-    "PROTOCOL_NAMES",
 ]
 
 T = TypeVar("T", bound=type)
@@ -84,10 +78,9 @@ def _unknown_message(kind: str, name: object, known: Tuple[str, ...]) -> str:
 class UnknownProtocolError(KeyError, ValueError):
     """An unregistered protocol name was looked up.
 
-    Subclasses both ``KeyError`` (the ``PROTOCOL_PAIRS[name]`` contract) and
-    ``ValueError`` (the pre-registry validation contract) so every historical
-    ``except`` clause keeps catching it.  The message lists the registered
-    names and suggests the nearest match.
+    Subclasses both ``KeyError`` (a failed name lookup) and ``ValueError``
+    (an invalid argument) so either ``except`` clause catches it.  The
+    message lists the registered names and suggests the nearest match.
     """
 
     def __init__(
@@ -155,8 +148,8 @@ class ProtocolEntry:
     #: backends execute (see :mod:`repro.simulation.schedule`).
     schedule_fn: Optional[Callable[..., Any]] = None
     #: Whether the entry belongs to the paper's headline comparison, i.e.
-    #: appears in the ``PROTOCOL_PAIRS`` compatibility view (the NoFT
-    #: baseline registers with ``paper=False``).
+    #: appears in ``protocol_names(paper_only=True)`` (the NoFT baseline
+    #: registers with ``paper=False``).
     paper: bool = True
     #: Explicit tunable-period constructor keywords (``register_protocol``'s
     #: ``tunable=`` option).  ``None`` means "introspect the model
@@ -358,7 +351,7 @@ def register_protocol(
         Alternative lookup names (case-insensitive, shared by all parts).
     paper:
         Whether the protocol belongs to the paper's headline comparison and
-        therefore appears in the ``PROTOCOL_PAIRS`` compatibility view.
+        therefore appears in ``protocol_names(paper_only=True)``.
     tunable:
         Constructor keywords :mod:`repro.optimize` may search over.  Omitted
         (the common case), they are introspected from the model constructor
@@ -746,52 +739,3 @@ def resolve(
         parameters, workload, failure_model=fm, **dict(simulator_kwargs or {})
     )
     return ResolvedProtocol(model=model, simulator=simulator, failure_model=fm)
-
-
-# ---------------------------------------------------------------------- #
-# Backwards-compatible PROTOCOL_PAIRS view
-# ---------------------------------------------------------------------- #
-class _ProtocolPairsView(Mapping):
-    """Live, read-only ``name -> (model class, simulator class)`` mapping.
-
-    Deprecated in favour of :func:`resolve_protocol`; kept so that code and
-    tests written against the original ``PROTOCOL_PAIRS`` dict keep working.
-    Restricted to the paper's headline protocols, in paper order.
-    """
-
-    def __getitem__(self, name: str) -> Tuple[type, type]:
-        # Exact canonical keys only, like the original dict: alias and
-        # case-insensitive lookups belong to resolve_protocol(), and
-        # __getitem__ must agree with __iter__/__contains__ (the Mapping
-        # invariant).
-        if name not in protocol_names(paper_only=True):
-            raise UnknownProtocolError(name, protocol_names(paper_only=True))
-        return resolve_protocol(name).pair
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(protocol_names(paper_only=True))
-
-    def __len__(self) -> int:
-        return len(protocol_names(paper_only=True))
-
-    def __contains__(self, name: object) -> bool:
-        # Membership mirrors iteration (the paper's protocol set), not the
-        # full registry: ``"NoFT" in PROTOCOL_PAIRS`` stays False as it was
-        # for the original dict.
-        return name in protocol_names(paper_only=True)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return f"PROTOCOL_PAIRS({', '.join(protocol_names(paper_only=True))})"
-
-
-#: Deprecated: analytical model and simulator classes per paper protocol
-#: name.  A live view over the registry; prefer :func:`resolve_protocol`.
-PROTOCOL_PAIRS: Mapping[str, Tuple[type, type]] = _ProtocolPairsView()
-
-
-def __getattr__(attr: str) -> Any:
-    if attr == "PROTOCOL_NAMES":
-        # Computed lazily so importing this module never forces the builtin
-        # implementation imports.
-        return protocol_names(paper_only=True)
-    raise AttributeError(f"module {__name__!r} has no attribute {attr!r}")

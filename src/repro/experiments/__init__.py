@@ -15,7 +15,6 @@ files:
   (perfectly scalable) checkpoint cost (Figure 10).
 * :mod:`repro.experiments.validation` -- model-vs-simulation comparison for
   arbitrary configurations (the machinery behind Figures 7b/7d/7f).
-* :mod:`repro.experiments.sweep` -- generic parameter sweeps.
 * :mod:`repro.experiments.config` -- the paper's parameter values, in one
   place.
 """
@@ -34,7 +33,6 @@ from repro.experiments.validation import (
     validate_configuration,
     validate_spec,
 )
-from repro.experiments.sweep import sweep_mtbf_alpha, SweepPoint
 from repro.experiments.figure7 import Figure7Result, run_figure7
 from repro.experiments.weak_scaling import (
     WeakScalingResult,
@@ -58,8 +56,6 @@ __all__ = [
     "validate_spec",
     "NonExponentialValidationError",
     "weak_scaling_spec",
-    "SweepPoint",
-    "sweep_mtbf_alpha",
     "Figure7Result",
     "run_figure7",
     "WeakScalingResult",

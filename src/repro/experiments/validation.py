@@ -23,7 +23,7 @@ from typing import Optional
 
 from repro.application.workload import ApplicationWorkload
 from repro.core.parameters import ResilienceParameters
-from repro.core.registry import PROTOCOL_PAIRS, resolve_protocol
+from repro.core.registry import resolve_protocol
 from repro.failures.base import FailureModel
 from repro.failures.exponential import ExponentialFailureModel
 from repro.simulation.runner import MonteCarloResult, run_monte_carlo
@@ -33,7 +33,6 @@ __all__ = [
     "validate_configuration",
     "validate_spec",
     "NonExponentialValidationError",
-    "PROTOCOL_PAIRS",
 ]
 
 

@@ -86,7 +86,7 @@ CATALOG: Tuple[MetricSpec, ...] = (
         "repro_campaign_shards_total",
         "counter",
         "Shards dispatched by the sharded vectorized executor.",
-        ("backend",),
+        (),
         SCOPE_GLOBAL,
     ),
     MetricSpec(

@@ -193,10 +193,7 @@ class AdvisorService:
         # The executor shared by every background campaign, on either
         # engine, sized by ``mc_workers``: 1 keeps campaigns serial in the
         # job thread, "auto" shards each one across the machine's cores.
-        self._mc_executor = ShardedVectorizedExecutor(
-            workers=mc_workers,
-            backend="serial" if mc_workers == 1 else "process",
-        )
+        self._mc_executor = ShardedVectorizedExecutor(workers=mc_workers)
         self.router = Router()
         self.router.add("POST", "/optimize", self._handle_optimize)
         self.router.add("POST", "/compare", self._handle_compare)
@@ -552,7 +549,6 @@ class AdvisorService:
                 "mc_workers": {
                     "requested": self._mc_workers_requested,
                     "resolved": self._mc_executor.workers,
-                    "backend": self._mc_executor.backend,
                 },
                 "answer_cache_entries": self.answers.max_entries,
             },

@@ -37,7 +37,7 @@ from repro.simulation.trace import (
     TraceRecorder,
     WasteAccumulator,
 )
-from repro.simulation.runner import MonteCarloResult, MonteCarloRunner, run_monte_carlo
+from repro.simulation.runner import MonteCarloResult, run_monte_carlo
 from repro.simulation.schedule import (
     AbftSegment,
     AtomicSegment,
@@ -66,7 +66,6 @@ __all__ = [
     "TrialTable",
     "TRIAL_DTYPE",
     "MonteCarloResult",
-    "MonteCarloRunner",
     "run_monte_carlo",
     "PeriodicSegment",
     "AtomicSegment",

@@ -13,10 +13,9 @@ a campaign; it is the event simulators' ``run_trial_range``, the entry point
 both Monte-Carlo engines share.  For large campaigns,
 :class:`repro.campaign.ShardedVectorizedExecutor` splits the trial range
 into shards over worker processes with bit-identical results (same root
-seed, any worker count); the ``workers=`` option of
-:class:`MonteCarloRunner` reaches it.  The fully vectorized across-trials
-engine (:mod:`repro.simulation.vectorized`) produces the same tables without
-a Python loop at all, for the protocols and failure laws it supports.
+seed, any worker count).  The fully vectorized across-trials engine
+(:mod:`repro.simulation.vectorized`) produces the same tables without a
+Python loop at all, for the protocols and failure laws it supports.
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ from repro.utils.stats import SummaryStatistics
 
 __all__ = [
     "MonteCarloResult",
-    "MonteCarloRunner",
     "run_monte_carlo",
     "simulate_trial_range",
 ]
@@ -186,96 +184,3 @@ def simulate_trial_range(
         if keep_traces:
             traces.append(trace)
     return table, traces
-
-
-class MonteCarloRunner:
-    """Object-oriented wrapper around :func:`run_monte_carlo`.
-
-    Useful when the same campaign settings (number of runs, seed policy,
-    confidence level) are applied to many different simulators, e.g. when
-    sweeping the (MTBF, alpha) grid of Figure 7.
-
-    Parameters
-    ----------
-    runs / seed / keep_traces / confidence:
-        As in :func:`run_monte_carlo`.
-    workers:
-        ``1`` (default) runs each campaign serially in process; any other
-        count, or ``"auto"``, shards its trials over worker processes
-        (:class:`repro.campaign.ParallelMonteCarloExecutor`, so the
-        single-run callable must be picklable).  Results are bit-identical
-        to the serial path for any worker count.
-    """
-
-    def __init__(
-        self,
-        *,
-        runs: int = 100,
-        seed: Optional[int] = None,
-        keep_traces: bool = False,
-        confidence: float = 0.95,
-        workers: Optional[int | str] = 1,
-    ) -> None:
-        if runs <= 0:
-            raise ValueError(f"runs must be a positive integer, got {runs}")
-        self._runs = int(runs)
-        self._seed = seed
-        self._keep_traces = bool(keep_traces)
-        self._confidence = float(confidence)
-        self._executor = None
-        if workers != 1:
-            # Validate the worker count eagerly (fail at construction, not
-            # mid-campaign); the import is deferred to avoid a cycle.
-            from repro.campaign.executor import ParallelMonteCarloExecutor
-
-            self._executor = ParallelMonteCarloExecutor(workers=workers)
-
-    @property
-    def runs(self) -> int:
-        """Number of independent executions per campaign."""
-        return self._runs
-
-    @property
-    def seed(self) -> Optional[int]:
-        """Root seed shared by every campaign launched by this runner."""
-        return self._seed
-
-    def _campaign(
-        self, simulate_once: SimulateOnce, seed: Optional[int]
-    ) -> MonteCarloResult:
-        if self._executor is not None:
-            return self._executor.run(
-                simulate_once,
-                runs=self._runs,
-                seed=seed,
-                keep_traces=self._keep_traces,
-                confidence=self._confidence,
-            )
-        return run_monte_carlo(
-            simulate_once,
-            runs=self._runs,
-            seed=seed,
-            keep_traces=self._keep_traces,
-            confidence=self._confidence,
-        )
-
-    def run(self, simulate_once: SimulateOnce) -> MonteCarloResult:
-        """Run one campaign for the given single-run callable."""
-        return self._campaign(simulate_once, self._seed)
-
-    def run_many(
-        self, simulators: Sequence[SimulateOnce]
-    ) -> list[MonteCarloResult]:
-        """Run one campaign per simulator, with a distinct seed offset each.
-
-        The ``i``-th simulator uses root seed ``seed + i`` when a seed was
-        given, so that campaigns remain reproducible yet independent; with
-        ``seed=None`` every campaign draws fresh OS entropy (campaigns are
-        independent but not reproducible).  This policy is pinned by the
-        unit tests -- changing it silently would invalidate cached sweeps.
-        """
-        results = []
-        for index, simulate_once in enumerate(simulators):
-            seed = None if self._seed is None else self._seed + index
-            results.append(self._campaign(simulate_once, seed))
-        return results

@@ -165,7 +165,7 @@ class AbftSegment:
     that write is an ABFT failure (the dataset is still reconstructible)
     and the write is redone.  The segment brackets itself with
     ``LIBRARY_PHASE_START`` / ``LIBRARY_PHASE_END`` markers in recorded
-    traces, exactly like the historical ``_abft_section`` walk.
+    traces, as :func:`run_abft_section` records them.
     """
 
     work: float

@@ -38,9 +38,8 @@ One round of the execute loop is one pass over a chunk's live trials:
   are split only when the schedule has more than one.  Updates are
   ``np.where`` over the dense arrays.
 * **Folded rounds.**  A restart that ends strictly before the trial's next
-  failure goes on into its segment body in the same round, and a periodic
-  segment takes up to :data:`CHUNKS_PER_ROUND` successive chunks against
-  the same next failure.
+  failure goes on into its segment body in the same round.  A periodic
+  segment takes one chunk per round.
 
 Each trial still performs the event walk's IEEE-754 sequence.  A trial's
 ``t += step`` and ``acc += amount`` are done one at a time, in its own
@@ -158,18 +157,6 @@ ENGINE_BACKENDS = ("event", "vectorized", "auto")
 #: at every size (0.261 / 0.262 / 0.267 s).  16384 won no clear majority
 #: and costs 27% more memory, so 8192 stays.
 TRIAL_CHUNK = 8192
-
-#: Periodic chunks a trial may complete in one round against the same next
-#: failure (see Rounds above).  Measured like :data:`TRIAL_CHUNK`, over 1-4:
-#: median execute time 0.465 / 0.467 / 0.493 / 0.506 s on the reference
-#: cell and 0.258 / 0.259 / 0.273 / 0.281 s on the regime map's
-#: ABFT&PeriodicCkpt campaigns, with no value fastest in every rotation and
-#: equal peak RSS.  Inside that noise the value of the first measurement, 3,
-#: stays.  At seed 1 it runs the reference cell in 710 rounds and 2.95M
-#: trial-rounds against 1140 and 6.04M at 1; the time does not follow
-#: because every extra chunk step is computed over all live trials.  Every
-#: value gives the same table.
-CHUNKS_PER_ROUND = 3
 
 
 class VectorizedBackendError(ValueError):
@@ -405,7 +392,7 @@ class VectorizedPhasedSimulator:
                 work = float(segment.work)
                 ckpt = float(segment.checkpoint_cost)
                 if work <= 0.0:
-                    # _periodic_section(work <= 0): a lone trailing
+                    # run_periodic_section(work <= 0): a lone trailing
                     # checkpoint, or nothing.
                     if segment.trailing and ckpt > 0.0:
                         append(
@@ -429,7 +416,7 @@ class VectorizedPhasedSimulator:
             elif isinstance(segment, AtomicSegment):
                 work = float(segment.work)
                 ckpt = float(segment.checkpoint_cost)
-                # Same addition as _unprotected_section's ``segment = work
+                # Same addition as run_atomic_segment's ``segment = work
                 # + checkpoint_cost``.
                 duration = work + ckpt
                 if duration <= 0.0:
@@ -897,32 +884,22 @@ class VectorizedPhasedSimulator:
                 act = body & (kind == _KIND_PERIODIC) if mixed else body
                 work, size, slack = work_tab[s], chunk_tab[s], slack_tab[s]
                 ckpt, paid, trailing = ckpt_tab[s], paid_ckpt[s], trailing_tab[s]
-                has_restart = restart_tab[s]
-                for step in range(CHUNKS_PER_ROUND):
-                    chunk = np.minimum(size, work - w)
-                    grown = w + chunk
-                    do_ckpt = (grown < slack) | trailing
-                    end = t + np.where(do_ckpt, chunk + ckpt, chunk)
-                    ok = nf >= end
-                    suc = act & ok
-                    fail = act ^ suc
-                    acc["useful_work"] += np.where(suc, chunk, 0.0)
-                    acc["checkpointing"] += np.where(suc & do_ckpt, paid, 0.0)
-                    acc["lost_work"] += np.where(fail, nf - t, 0.0)
-                    t = np.where(act, np.minimum(nf, end), t)
-                    w = np.where(suc, grown, w)
-                    fails += fail
-                    cur += fail
-                    restart |= fail & has_restart
-                    done = suc & (grown >= work)
-                    complete(done, seg, rep, w, fin)
-                    if step + 1 == CHUNKS_PER_ROUND:
-                        break
-                    # The next chunk runs against the same failure while it
-                    # is still strictly after the clock and the cap holds.
-                    act = suc & ~done & (nf > t) & (t <= cap)
-                    if not act.any():
-                        break
+                chunk = np.minimum(size, work - w)
+                grown = w + chunk
+                do_ckpt = (grown < slack) | trailing
+                end = t + np.where(do_ckpt, chunk + ckpt, chunk)
+                ok = nf >= end
+                suc = act & ok
+                fail = act ^ suc
+                acc["useful_work"] += np.where(suc, chunk, 0.0)
+                acc["checkpointing"] += np.where(suc & do_ckpt, paid, 0.0)
+                acc["lost_work"] += np.where(fail, nf - t, 0.0)
+                t = np.where(act, np.minimum(nf, end), t)
+                w = np.where(suc, grown, w)
+                fails += fail
+                cur += fail
+                restart |= fail & restart_tab[s]
+                complete(suc & (grown >= work), seg, rep, w, fin)
 
             if _KIND_ATOMIC in kinds:
                 act = body & (kind == _KIND_ATOMIC) if mixed else body

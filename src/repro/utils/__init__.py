@@ -28,9 +28,6 @@ from repro.utils.units import (
     TB,
     PB,
     format_duration,
-    format_bytes,
-    to_minutes,
-    to_hours,
     to_seconds,
 )
 from repro.utils.validation import (
@@ -61,9 +58,6 @@ __all__ = [
     "TB",
     "PB",
     "format_duration",
-    "format_bytes",
-    "to_minutes",
-    "to_hours",
     "to_seconds",
     "require_positive",
     "require_non_negative",

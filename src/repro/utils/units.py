@@ -3,8 +3,7 @@
 Internally every duration is a ``float`` number of **seconds** and every data
 size a ``float`` number of **bytes**.  The constants below are multipliers so
 that user-facing code can write ``10 * MINUTE`` or ``2 * GB`` instead of raw
-magic numbers; the helpers convert back to human-readable strings for
-reporting.
+magic numbers; :func:`format_duration` renders a duration for reporting.
 
 The paper quotes its parameters in minutes (checkpoint cost ``C = R = 10
 minutes``), days (MTBF) and weeks (epoch duration); keeping a single internal
@@ -43,15 +42,6 @@ _TIME_STEPS = (
     (SECOND, "s"),
 )
 
-_SIZE_STEPS = (
-    (PB, "PB"),
-    (TB, "TB"),
-    (GB, "GB"),
-    (MB, "MB"),
-    (KB, "KB"),
-    (1.0, "B"),
-)
-
 
 def to_seconds(value: float, unit: float = SECOND) -> float:
     """Convert ``value`` expressed in ``unit`` into seconds.
@@ -69,16 +59,6 @@ def to_seconds(value: float, unit: float = SECOND) -> float:
     600.0
     """
     return float(value) * float(unit)
-
-
-def to_minutes(seconds: float) -> float:
-    """Convert a duration in seconds to minutes."""
-    return float(seconds) / MINUTE
-
-
-def to_hours(seconds: float) -> float:
-    """Convert a duration in seconds to hours."""
-    return float(seconds) / HOUR
 
 
 def format_duration(seconds: float, precision: int = 2) -> str:
@@ -104,15 +84,3 @@ def format_duration(seconds: float, precision: int = 2) -> str:
         if magnitude >= step:
             return f"{sign}{magnitude / step:.{precision}f} {suffix}"
     return f"{sign}{magnitude:.{precision}f} s"
-
-
-def format_bytes(num_bytes: float, precision: int = 2) -> str:
-    """Render a data size as a short human-readable string (decimal units)."""
-    if math.isnan(num_bytes) or math.isinf(num_bytes):
-        return str(num_bytes)
-    sign = "-" if num_bytes < 0 else ""
-    magnitude = abs(float(num_bytes))
-    for step, suffix in _SIZE_STEPS:
-        if magnitude >= step:
-            return f"{sign}{magnitude / step:.{precision}f} {suffix}"
-    return f"{sign}{magnitude:.{precision}f} B"

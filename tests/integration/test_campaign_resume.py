@@ -89,15 +89,11 @@ class TestResume:
         serial_dir = tmp_path / "serial"
         parallel_dir = tmp_path / "parallel"
         serial = SweepRunner(cache_dir=serial_dir).run(job)
-        parallel = SweepRunner(
-            cache_dir=parallel_dir, workers=2, backend="process"
-        ).run(job)
+        parallel = SweepRunner(cache_dir=parallel_dir, workers=2).run(job)
         # Determinism makes the cache contents interchangeable: resuming the
         # serial cache with a parallel runner reuses every point, and the
         # values agree exactly.
         assert serial.points == parallel.points
-        resumed = SweepRunner(
-            cache_dir=serial_dir, workers=2, backend="process"
-        ).run(job)
+        resumed = SweepRunner(cache_dir=serial_dir, workers=2).run(job)
         assert resumed.computed_points == 0
         assert resumed.points == serial.points

@@ -12,7 +12,8 @@ import pytest
 
 from repro import ApplicationWorkload
 from repro.core import ResilienceParameters
-from repro.experiments.validation import PROTOCOL_PAIRS, validate_configuration
+from repro.core.registry import protocol_names
+from repro.experiments.validation import validate_configuration
 from repro.utils import MINUTE, WEEK
 
 RUNS = 100
@@ -30,7 +31,7 @@ def _parameters(mtbf_minutes: float) -> ResilienceParameters:
     )
 
 
-@pytest.mark.parametrize("protocol", sorted(PROTOCOL_PAIRS))
+@pytest.mark.parametrize("protocol", sorted(protocol_names(paper_only=True)))
 @pytest.mark.parametrize("mtbf_minutes", [60, 120, 240])
 @pytest.mark.parametrize("alpha", [0.2, 0.8])
 def test_model_matches_simulation_within_tolerance(protocol, mtbf_minutes, alpha):
@@ -57,7 +58,7 @@ def test_simulation_preserves_protocol_ordering(mtbf_minutes):
         protocol: validate_configuration(
             protocol, parameters, workload, runs=RUNS, seed=7
         ).simulated_waste
-        for protocol in PROTOCOL_PAIRS
+        for protocol in protocol_names(paper_only=True)
     }
     assert (
         simulated["ABFT&PeriodicCkpt"]

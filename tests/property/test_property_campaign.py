@@ -2,7 +2,7 @@
 
 The campaign executor's contract is that for a given root seed the parallel
 path reproduces the serial :func:`run_monte_carlo` *exactly* -- bit-identical
-summary statistics for any worker count or backend.  These tests assert
+summary statistics for any worker count.  These tests assert
 ``==`` on every field of the summaries, never approximate equality.
 """
 
@@ -68,10 +68,11 @@ class TestSeedEquivalence:
         runs=st.integers(min_value=1, max_value=60),
         workers=st.integers(min_value=1, max_value=9),
     )
-    def test_serial_backend_bit_identical(self, seed, runs, workers):
+    def test_serial_backend_bit_identical(self, seed, runs, workers, inline_pool):
         serial = run_monte_carlo(_toy_simulation, runs=runs, seed=seed)
-        executor = ParallelMonteCarloExecutor(workers=workers, backend="serial")
-        parallel = executor.run(_toy_simulation, runs=runs, seed=seed)
+        executor = ParallelMonteCarloExecutor(workers=workers)
+        with inline_pool():
+            parallel = executor.run(_toy_simulation, runs=runs, seed=seed)
         _assert_identical(serial, parallel)
         assert parallel.table == serial.table
 
@@ -101,21 +102,24 @@ class TestSeedEquivalence:
         seed=st.integers(min_value=0, max_value=2**31 - 1),
         workers=st.integers(min_value=2, max_value=4),
     )
-    def test_traces_preserved_in_trial_order(self, seed, workers):
+    def test_traces_preserved_in_trial_order(self, seed, workers, inline_pool):
+        # The sharded table's rows follow the kept traces in trial order.
         serial = run_monte_carlo(
             _toy_simulation, runs=20, seed=seed, keep_traces=True
         )
-        parallel = ParallelMonteCarloExecutor(workers=workers).run(
-            _toy_simulation, runs=20, seed=seed, keep_traces=True
-        )
-        assert [t.makespan for t in parallel.traces] == [
+        with inline_pool():
+            parallel = ParallelMonteCarloExecutor(workers=workers).run(
+                _toy_simulation, runs=20, seed=seed
+            )
+        assert parallel.table.data["makespan"].tolist() == [
             t.makespan for t in serial.traces
         ]
 
-    def test_different_seeds_still_differ(self):
-        executor = ParallelMonteCarloExecutor(workers=2, backend="serial")
-        a = executor.run(_toy_simulation, runs=40, seed=1)
-        b = executor.run(_toy_simulation, runs=40, seed=2)
+    def test_different_seeds_still_differ(self, inline_pool):
+        executor = ParallelMonteCarloExecutor(workers=2)
+        with inline_pool():
+            a = executor.run(_toy_simulation, runs=40, seed=1)
+            b = executor.run(_toy_simulation, runs=40, seed=2)
         assert a.mean_waste != b.mean_waste
 
 
@@ -126,7 +130,7 @@ class TestChunking:
         workers=st.integers(min_value=1, max_value=8),
     )
     def test_chunks_partition_the_trial_range(self, runs, workers):
-        executor = ShardedVectorizedExecutor(workers=workers, backend="serial")
+        executor = ShardedVectorizedExecutor(workers=workers)
         chunks = executor.shard_ranges(runs)
         covered = [i for start, stop in chunks for i in range(start, stop)]
         assert covered == list(range(runs))

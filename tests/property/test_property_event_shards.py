@@ -60,13 +60,14 @@ def _serial_table(simulator):
 
 @pytest.mark.parametrize("law", sorted(LAWS))
 @pytest.mark.parametrize("protocol", protocol_names())
-def test_serial_shards_equal_the_event_runner(protocol, law):
+def test_serial_shards_equal_the_event_runner(protocol, law, inline_pool):
     simulator = _simulator(protocol, law)
     serial = _serial_table(simulator)
     for workers in (2, 3, 7):
-        sharded = ShardedVectorizedExecutor(workers=workers, backend="serial").run(
-            simulator, runs=RUNS, seed=SEED
-        )
+        with inline_pool():
+            sharded = ShardedVectorizedExecutor(workers=workers).run(
+                simulator, runs=RUNS, seed=SEED
+            )
         assert sharded == serial, (protocol, law, workers)
 
 
@@ -74,7 +75,7 @@ def test_serial_shards_equal_the_event_runner(protocol, law):
 @pytest.mark.parametrize("protocol", protocol_names())
 def test_process_shards_equal_the_event_runner(protocol, law):
     simulator = _simulator(protocol, law)
-    sharded = ShardedVectorizedExecutor(workers=2, backend="process").run(
+    sharded = ShardedVectorizedExecutor(workers=2).run(
         simulator, runs=RUNS, seed=SEED
     )
     assert sharded == _serial_table(simulator)
@@ -82,7 +83,7 @@ def test_process_shards_equal_the_event_runner(protocol, law):
 
 @pytest.mark.parametrize("law", sorted(LAWS))
 @pytest.mark.parametrize("protocol", protocol_names())
-def test_event_campaign_equals_vectorized_campaign(protocol, law):
+def test_event_campaign_equals_vectorized_campaign(protocol, law, inline_pool):
     def campaign(backend: str):
         engine = campaign_engine(
             protocol,
@@ -93,8 +94,9 @@ def test_event_campaign_equals_vectorized_campaign(protocol, law):
             failure_model=LAWS[law](),
             law=law,
         )
-        return ShardedVectorizedExecutor(workers=3, backend="serial").run(
-            engine, runs=RUNS, seed=SEED
-        )
+        with inline_pool():
+            return ShardedVectorizedExecutor(workers=3).run(
+                engine, runs=RUNS, seed=SEED
+            )
 
     assert campaign("event") == campaign("vectorized")

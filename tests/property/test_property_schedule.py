@@ -6,10 +6,10 @@ The contract is that compile + interpret reproduces the historical
 hand-written ``_run`` walks IEEE-operation-for-operation: same makespan, same
 failure count, same time breakdown, same truncation flag, same recorded
 events.  The reference walks below are the pre-IR ``_run`` bodies verbatim,
-rebuilt from the building-block helpers the base class still exposes;
-Hypothesis then drives both implementations over random
-``(protocol, law, period, seed)`` configurations and asserts exact ``==``
-equality, never approximate.
+composed from the ``run_*`` walk functions of
+:mod:`repro.simulation.schedule`; Hypothesis then drives both
+implementations over random ``(protocol, law, period, seed)`` configurations
+and asserts exact ``==`` equality, never approximate.
 
 The run-length compression of :class:`~repro.simulation.schedule.Schedule`
 is covered too: expansion round-trips through ``from_segments`` /
@@ -47,7 +47,13 @@ from repro.simulation.schedule import (
     PeriodicSegment,
     Schedule,
     ScheduleRun,
+    SimulationHorizonExceeded,
     compile_schedule,
+    periodic_chunk_size,
+    run_abft_section,
+    run_atomic_segment,
+    run_periodic_section,
+    run_restart,
 )
 from repro.simulation.trace import CATEGORIES
 from repro.utils import HOUR, MINUTE
@@ -56,12 +62,43 @@ from repro.utils import HOUR, MINUTE
 # --------------------------------------------------------------------------- #
 # Reference simulators: the pre-IR hand-written walks, verbatim.
 # --------------------------------------------------------------------------- #
+def _cap(simulator):
+    """The walk's truncation check at ``max_slowdown * T0``."""
+
+    def check(time):
+        if time > simulator._max_makespan:
+            raise SimulationHorizonExceeded(time)
+
+    return check
+
+
+def _rollback(params, recovery_cost):
+    """Downtime + full rollback recovery (the checkpointing protocols)."""
+    return (("downtime", params.downtime), ("recovery", recovery_cost))
+
+
+def _periodic(simulator, time, work, timeline, recorder, *, checkpoint_cost,
+              recovery_cost, period, trailing_checkpoint):
+    return run_periodic_section(
+        time,
+        work,
+        timeline,
+        recorder,
+        chunk_size=periodic_chunk_size(period, checkpoint_cost, work),
+        checkpoint_cost=checkpoint_cost,
+        trailing_checkpoint=trailing_checkpoint,
+        restart_stages=_rollback(simulator._params, recovery_cost),
+        check_cap=_cap(simulator),
+    )
+
+
 class LegacyNoFT(NoFaultToleranceSimulator):
     def _run(self, timeline, recorder):
         work = self._workload.total_time
+        check_cap = _cap(self)
         time = 0.0
         while True:
-            self._check_cap(time)
+            check_cap(time)
             next_failure = timeline.next_failure_after(time)
             if next_failure >= time + work:
                 recorder.account("useful_work", work)
@@ -69,18 +106,20 @@ class LegacyNoFT(NoFaultToleranceSimulator):
             elapsed = next_failure - time
             recorder.account("lost_work", elapsed)
             recorder.record(next_failure, EventKind.FAILURE, during="no-ft")
-            time = self._restart(
+            time = run_restart(
                 next_failure,
                 timeline,
                 recorder,
                 (("downtime", self._params.downtime),),
+                check_cap=check_cap,
             )
 
 
 class LegacyPurePeriodic(PurePeriodicCkptSimulator):
     def _run(self, timeline, recorder):
         params = self._params
-        return self._periodic_section(
+        return _periodic(
+            self,
             0.0,
             self._workload.total_time,
             timeline,
@@ -101,7 +140,8 @@ class LegacyBiPeriodic(BiPeriodicCkptSimulator):
             is_last = index == len(phases) - 1
             if kind == "general":
                 recorder.record(time, EventKind.GENERAL_PHASE_START)
-                time = self._periodic_section(
+                time = _periodic(
+                    self,
                     time,
                     duration,
                     timeline,
@@ -114,7 +154,8 @@ class LegacyBiPeriodic(BiPeriodicCkptSimulator):
                 recorder.record(time, EventKind.GENERAL_PHASE_END)
             else:
                 recorder.record(time, EventKind.LIBRARY_PHASE_START)
-                time = self._periodic_section(
+                time = _periodic(
+                    self,
                     time,
                     duration,
                     timeline,
@@ -140,7 +181,8 @@ class LegacyAbftPeriodic(AbftPeriodicCkptSimulator):
                 not math.isnan(general_period) and general_time >= general_period
             )
             if use_periodic:
-                time = self._periodic_section(
+                time = _periodic(
+                    self,
                     time,
                     general_time,
                     timeline,
@@ -151,29 +193,38 @@ class LegacyAbftPeriodic(AbftPeriodicCkptSimulator):
                     trailing_checkpoint=True,
                 )
             else:
-                time = self._unprotected_section(
+                time = run_atomic_segment(
                     time,
                     general_time,
                     timeline,
                     recorder,
-                    recovery_cost=params.full_recovery,
                     checkpoint_cost=params.remainder_checkpoint,
+                    restart_stages=_rollback(params, params.full_recovery),
+                    check_cap=_cap(self),
                 )
             recorder.record(time, EventKind.GENERAL_PHASE_END)
 
             if epoch.library_time <= 0.0:
                 continue
             if self._library_uses_abft(epoch):
-                time = self._abft_section(
+                time = run_abft_section(
                     time,
                     epoch.library_time,
                     timeline,
                     recorder,
+                    phi=params.phi,
+                    restart_stages=(
+                        ("downtime", params.downtime),
+                        ("recovery", params.remainder_recovery_cost),
+                        ("abft_recovery", params.abft_reconstruction),
+                    ),
                     exit_checkpoint_cost=params.library_checkpoint,
+                    check_cap=_cap(self),
                 )
             else:
                 recorder.record(time, EventKind.LIBRARY_PHASE_START)
-                time = self._periodic_section(
+                time = _periodic(
+                    self,
                     time,
                     epoch.library_time,
                     timeline,

@@ -32,6 +32,7 @@ from repro.core.protocols import (
 from repro.core.registry import resolve_protocol
 from repro.failures import ExponentialFailureModel, WeibullFailureModel
 from repro.simulation.rng import RandomStreams
+from repro.simulation.table import TrialTable
 from repro.simulation.trace import CATEGORIES
 from repro.utils import GB, HOUR, MINUTE, TB
 
@@ -130,8 +131,9 @@ def test_storage_stack_bit_identity(
         **kwargs,
     )
     serial = engine.run_trials(SHARD_RUNS, seed=seed)
-    sharded = ShardedVectorizedExecutor(workers=workers, backend="serial").run(
-        engine, runs=SHARD_RUNS, seed=seed
+    shards = ShardedVectorizedExecutor(workers=workers).shard_ranges(SHARD_RUNS)
+    sharded = TrialTable.concatenate(
+        [engine.run_trial_range(start, stop, seed) for start, stop in shards]
     )
     assert sharded == serial, (protocol, stack_name, law, workers)
     simulator = event_cls(
@@ -215,7 +217,7 @@ def test_storage_stack_process_pool_bit_identity(stack_name):
         period=1800.0,
     )
     serial = engine.run_trials(7, seed=23)
-    sharded = ShardedVectorizedExecutor(workers=3, backend="process").run(
+    sharded = ShardedVectorizedExecutor(workers=3).run(
         engine, runs=7, seed=23
     )
     assert sharded == serial

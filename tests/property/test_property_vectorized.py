@@ -30,6 +30,7 @@ from repro.failures import (
     WeibullFailureModel,
 )
 from repro.simulation.rng import RandomStreams
+from repro.simulation.table import TrialTable
 from repro.simulation.trace import CATEGORIES
 from repro.utils import HOUR, MINUTE
 
@@ -189,8 +190,9 @@ def test_sharded_serial_event_bit_identity(protocol, law, mtbf, period, seed, wo
         **kwargs,
     )
     serial = engine.run_trials(SHARD_RUNS, seed=seed)
-    sharded = ShardedVectorizedExecutor(workers=workers, backend="serial").run(
-        engine, runs=SHARD_RUNS, seed=seed
+    shards = ShardedVectorizedExecutor(workers=workers).shard_ranges(SHARD_RUNS)
+    sharded = TrialTable.concatenate(
+        [engine.run_trial_range(start, stop, seed) for start, stop in shards]
     )
     assert sharded == serial, (protocol, law, workers)
     simulator = event_cls(
@@ -223,9 +225,7 @@ def test_sharded_process_pool_bit_identity(law):
         period=1800.0,
     )
     serial = engine.run_trials(7, seed=23)
-    sharded = ShardedVectorizedExecutor(workers=3, backend="process").run(
-        engine, runs=7, seed=23
-    )
+    sharded = ShardedVectorizedExecutor(workers=3).run(engine, runs=7, seed=23)
     assert sharded == serial
 
 

@@ -18,7 +18,7 @@ from repro.campaign import (
 )
 from repro.core.parameters import ResilienceParameters
 from repro.core.registry import resolve_protocol
-from repro.simulation import MonteCarloRunner, run_monte_carlo
+from repro.simulation import run_monte_carlo
 from repro.simulation.trace import ExecutionTrace, TimeBreakdown
 from repro.utils import HOUR, MINUTE
 
@@ -46,22 +46,26 @@ def _parameters() -> ResilienceParameters:
 
 class TestExecutorValidation:
     def test_invalid_backend(self):
-        with pytest.raises(ValueError, match="backend"):
-            ParallelMonteCarloExecutor(backend="fibers")
+        # The executor has no execution-backend option: worker processes
+        # run whenever more than one worker has work.
+        with pytest.raises(TypeError, match="backend"):
+            ParallelMonteCarloExecutor(backend="serial")
 
     def test_invalid_workers(self):
         with pytest.raises(ValueError, match="workers"):
             ParallelMonteCarloExecutor(workers=0)
 
     def test_invalid_runs(self):
-        executor = ParallelMonteCarloExecutor(workers=2, backend="serial")
+        executor = ParallelMonteCarloExecutor(workers=2)
         with pytest.raises(ValueError, match="runs"):
             executor.run(_fake_simulation, runs=0)
 
-    def test_serial_backend_matches_run_monte_carlo(self):
+    def test_serial_backend_matches_run_monte_carlo(self, inline_pool):
         serial = run_monte_carlo(_fake_simulation, runs=25, seed=3)
-        executor = ParallelMonteCarloExecutor(workers=4, backend="serial")
-        assert executor.run(_fake_simulation, runs=25, seed=3).waste == serial.waste
+        executor = ParallelMonteCarloExecutor(workers=4)
+        with inline_pool():
+            result = executor.run(_fake_simulation, runs=25, seed=3)
+        assert result.waste == serial.waste
 
     def test_single_worker_short_circuits_to_serial(self):
         serial = run_monte_carlo(_fake_simulation, runs=10, seed=5)
@@ -105,20 +109,20 @@ class TestResolveWorkerCount:
 
 class TestShardedVectorizedExecutor:
     def test_invalid_backend(self):
-        with pytest.raises(ValueError, match="backend"):
-            ShardedVectorizedExecutor(backend="fibers")
+        with pytest.raises(TypeError, match="backend"):
+            ShardedVectorizedExecutor(backend="serial")
 
     def test_invalid_workers(self):
         with pytest.raises(ValueError, match="workers"):
             ShardedVectorizedExecutor(workers=0)
 
     def test_invalid_runs(self):
-        executor = ShardedVectorizedExecutor(workers=2, backend="serial")
+        executor = ShardedVectorizedExecutor(workers=2)
         with pytest.raises(ValueError, match="runs"):
             executor.run(_vector_engine(), runs=0)
 
     def test_shard_ranges_cover_contiguously(self):
-        executor = ShardedVectorizedExecutor(workers=4, backend="serial")
+        executor = ShardedVectorizedExecutor(workers=4)
         assert executor.shard_ranges(10) == [(0, 3), (3, 6), (6, 9), (9, 10)]
         # More workers than trials: one single-trial shard per trial.
         assert executor.shard_ranges(2) == [(0, 1), (1, 2)]
@@ -126,15 +130,16 @@ class TestShardedVectorizedExecutor:
     def test_single_shard_short_circuits(self):
         engine = _vector_engine()
         serial = engine.run_trials(6, seed=9)
-        executor = ShardedVectorizedExecutor(workers=1, backend="process")
+        executor = ShardedVectorizedExecutor(workers=1)
         assert executor.run(engine, runs=6, seed=9) == serial
 
-    def test_serial_backend_is_bit_identical(self):
+    def test_serial_backend_is_bit_identical(self, inline_pool):
         engine = _vector_engine()
         serial = engine.run_trials(11, seed=3)
         for workers in (2, 3, 5, 11, 50):
-            executor = ShardedVectorizedExecutor(workers=workers, backend="serial")
-            assert executor.run(engine, runs=11, seed=3) == serial, workers
+            executor = ShardedVectorizedExecutor(workers=workers)
+            with inline_pool():
+                assert executor.run(engine, runs=11, seed=3) == serial, workers
 
     def test_two_process_shards_equal_serial_on_a_100k_trial_cell(self):
         # The correctness half of the multicore speedup benchmark, on its
@@ -146,27 +151,31 @@ class TestShardedVectorizedExecutor:
             _parameters(),
             ApplicationWorkload.single_epoch(1 * DAY, 0.8, library_fraction=0.8),
         )
-        sharded = ShardedVectorizedExecutor(workers=2, backend="process").run(
+        sharded = ShardedVectorizedExecutor(workers=2).run(
             engine, runs=100_000, seed=2014
         )
         assert sharded == engine.run_trials(100_000, seed=2014)
 
-    def test_unseeded_shards_are_still_deterministic_per_seedless_run(self):
+    def test_unseeded_shards_are_still_deterministic_per_seedless_run(
+        self, inline_pool
+    ):
         # seed=None derives fresh entropy per RandomStreams, so two unseeded
         # campaigns differ; but a sharded unseeded run must still produce a
         # well-formed table of the requested length.
         engine = _vector_engine()
-        table = ShardedVectorizedExecutor(workers=3, backend="serial").run(
-            engine, runs=7
-        )
+        with inline_pool():
+            table = ShardedVectorizedExecutor(workers=3).run(engine, runs=7)
         assert len(table.data) == 7
 
 
 class TestMonteCarloRunnerParallel:
+    """The ``simulate_once`` executor on real worker processes equals the
+    in-process ``run_monte_carlo``."""
+
     def test_parallel_runner_matches_serial_runner(self):
-        serial = MonteCarloRunner(runs=30, seed=11).run(_fake_simulation)
-        parallel = MonteCarloRunner(runs=30, seed=11, workers=2).run(
-            _fake_simulation
+        serial = run_monte_carlo(_fake_simulation, runs=30, seed=11)
+        parallel = ParallelMonteCarloExecutor(workers=2).run(
+            _fake_simulation, runs=30, seed=11
         )
         assert parallel.waste == serial.waste
         assert parallel.makespan == serial.makespan
@@ -174,24 +183,25 @@ class TestMonteCarloRunnerParallel:
         assert parallel.table == serial.table
 
     def test_parallel_run_many_matches_serial(self):
-        sims = [_fake_simulation, _fake_simulation, _fake_simulation]
-        serial = MonteCarloRunner(runs=15, seed=4).run_many(sims)
-        parallel = MonteCarloRunner(runs=15, seed=4, workers=2).run_many(sims)
-        for a, b in zip(serial, parallel):
-            assert a.waste == b.waste
+        # Several campaigns through one executor, each on its own seed.
+        executor = ParallelMonteCarloExecutor(workers=2)
+        for seed in (4, 5, 6):
+            serial = run_monte_carlo(_fake_simulation, runs=15, seed=seed)
+            parallel = executor.run(_fake_simulation, runs=15, seed=seed)
+            assert parallel.waste == serial.waste
 
     def test_workers_validated_eagerly(self):
         with pytest.raises(ValueError, match="workers"):
-            MonteCarloRunner(runs=5, workers=0)
+            ParallelMonteCarloExecutor(workers=0)
 
     def test_parallel_runner_keeps_traces_in_trial_order(self):
-        serial = MonteCarloRunner(runs=12, seed=6, keep_traces=True).run(
-            _fake_simulation
+        # The traces run_monte_carlo keeps line up, in trial order, with
+        # the rows the sharded executor gathers.
+        serial = run_monte_carlo(_fake_simulation, runs=12, seed=6, keep_traces=True)
+        parallel = ParallelMonteCarloExecutor(workers="auto").run(
+            _fake_simulation, runs=12, seed=6
         )
-        parallel = MonteCarloRunner(
-            runs=12, seed=6, keep_traces=True, workers="auto"
-        ).run(_fake_simulation)
-        assert [t.makespan for t in parallel.traces] == [
+        assert parallel.table.data["makespan"].tolist() == [
             t.makespan for t in serial.traces
         ]
 

@@ -10,12 +10,11 @@ one process pool, and that pool's workers must be gone when the batch ends
 
 from __future__ import annotations
 
+import contextlib
 import multiprocessing
-from concurrent.futures import Future
 
 import pytest
 
-import repro.campaign.executor as executor_module
 import repro.obs as obs
 from repro import ApplicationWorkload, ResilienceParameters
 from repro.campaign import SweepCache, SweepJob, SweepRunner
@@ -83,20 +82,26 @@ def _own_tables(batch):
     return [engine.run_trial_range(0, runs, seed) for engine, runs, seed in batch]
 
 
-@pytest.mark.parametrize("backend", ["serial", "process"])
+# "serial" runs the same plan with every unit in this process (the
+# in-process pool stand-in), "process" on real worker processes.
+@pytest.mark.parametrize("pool", ["serial", "process"])
 @pytest.mark.parametrize("workers", [1, 2, 3])
 @pytest.mark.parametrize("size", [1, 2, len(MIXED)])
-def test_run_many_equals_each_campaigns_own_trial_range(backend, workers, size):
+def test_run_many_equals_each_campaigns_own_trial_range(
+    pool, workers, size, inline_pool
+):
     batch = [c for c in MIXED[:size] if c[2] is not None]
-    executor = ShardedVectorizedExecutor(workers=workers, backend=backend)
-    assert list(executor.run_many(batch)) == _own_tables(batch)
+    executor = ShardedVectorizedExecutor(workers=workers)
+    with inline_pool() if pool == "serial" else contextlib.nullcontext():
+        assert list(executor.run_many(batch)) == _own_tables(batch)
     assert multiprocessing.active_children() == []
 
 
-def test_unseeded_campaigns_keep_their_shape():
+def test_unseeded_campaigns_keep_their_shape(inline_pool):
     engine, runs, _ = MIXED[0]
-    executor = ShardedVectorizedExecutor(workers=2, backend="serial")
-    [table] = executor.run_many([(engine, runs, None)])
+    executor = ShardedVectorizedExecutor(workers=2)
+    with inline_pool():
+        [table] = executor.run_many([(engine, runs, None)])
     assert table.runs == runs
 
 
@@ -128,78 +133,41 @@ class TestPlan:
         assert _pool_starts() == 0.0
 
 
-class _CountedFuture(Future):
-    def __init__(self, pool):
-        super().__init__()
-        self._pool = pool
-        self._collected = False
-
-    def result(self, timeout=None):
-        if not self._collected:
-            self._collected = True
-            self._pool.in_flight -= 1
-        return super().result(timeout)
-
-
-class _InlinePool:
-    """Runs each unit at submission and tracks units the executor has
-    submitted but not yet collected."""
-
-    made = []
-
-    def __init__(self, max_workers):
-        self.max_workers = max_workers
-        self.in_flight = 0
-        self.peak = 0
-        self.shut_down = False
-        _InlinePool.made.append(self)
-
-    def submit(self, fn, *args):
-        future = _CountedFuture(self)
-        future.set_result(fn(*args))
-        self.in_flight += 1
-        self.peak = max(self.peak, self.in_flight)
-        return future
-
-    def shutdown(self, wait=True, cancel_futures=False):
-        self.shut_down = True
-
-
 class TestInFlight:
     @pytest.fixture(autouse=True)
-    def inline_pool(self, monkeypatch):
-        _InlinePool.made = []
-        monkeypatch.setattr(executor_module, "ProcessPoolExecutor", _InlinePool)
+    def pools(self, inline_pool):
+        with inline_pool() as pool_cls:
+            yield pool_cls
 
-    def test_never_more_than_twice_the_pool_in_flight(self):
+    def test_never_more_than_twice_the_pool_in_flight(self, pools):
         engine = MIXED[0][0]
         batch = [(engine, 4, seed) for seed in range(11)]
         executor = ShardedVectorizedExecutor(workers=2)
         tables = executor.run_many(batch)
         first = next(tables)
-        [pool] = _InlinePool.made
+        [pool] = pools.made
         assert pool.max_workers == 2
         assert pool.in_flight <= 2 * 2
         assert [first, *tables] == _own_tables(batch)
         assert pool.peak == 2 * 2
         assert pool.shut_down
 
-    def test_lone_campaign_shards_stay_bounded(self):
+    def test_lone_campaign_shards_stay_bounded(self, pools):
         engine = MIXED[4][0]
         executor = ShardedVectorizedExecutor(workers=3)
         assert executor.run(engine, runs=23, seed=6) == engine.run_trial_range(0, 23, 6)
-        [pool] = _InlinePool.made
+        [pool] = pools.made
         assert pool.peak == 3
         assert pool.shut_down
 
-    def test_closing_early_shuts_the_pool_down(self):
+    def test_closing_early_shuts_the_pool_down(self, pools):
         engine = MIXED[0][0]
         tables = ShardedVectorizedExecutor(workers=2).run_many(
             [(engine, 4, seed) for seed in range(9)]
         )
         next(tables)
         tables.close()
-        [pool] = _InlinePool.made
+        [pool] = pools.made
         assert pool.shut_down
 
 

@@ -7,7 +7,7 @@ import math
 import pytest
 
 from repro.application.scaling import ScalingMode
-from repro.core.analytical import PurePeriodicCkptModel
+from repro.campaign import SweepJob, SweepRunner
 from repro.experiments import (
     paper_figure7_config,
     paper_figure8_scenario,
@@ -17,7 +17,6 @@ from repro.experiments import (
     run_figure8,
     run_figure9,
     run_figure10,
-    sweep_mtbf_alpha,
     validate_configuration,
 )
 from repro.experiments.figure7 import PROTOCOLS
@@ -57,17 +56,16 @@ class TestConfig:
 
 class TestSweep:
     def test_sweep_covers_full_grid(self, paper_parameters):
-        points = list(
-            sweep_mtbf_alpha(
-                paper_parameters,
-                1 * WEEK,
-                [60 * MINUTE, 120 * MINUTE],
-                [0.0, 0.5, 1.0],
-                [PurePeriodicCkptModel],
-            )
+        job = SweepJob(
+            parameters=paper_parameters,
+            application_time=1 * WEEK,
+            mtbf_values=(60 * MINUTE, 120 * MINUTE),
+            alpha_values=(0.0, 0.5, 1.0),
+            protocols=("PurePeriodicCkpt",),
         )
+        points = SweepRunner().run(job).points
         assert len(points) == 6
-        assert all("PurePeriodicCkpt" in p.waste for p in points)
+        assert all("PurePeriodicCkpt" in p.model_waste for p in points)
         assert {p.alpha for p in points} == {0.0, 0.5, 1.0}
 
 

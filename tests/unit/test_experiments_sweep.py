@@ -1,29 +1,26 @@
-"""Regression tests pinning ``sweep_mtbf_alpha`` and its SweepRunner rewrite.
+"""Regression tests pinning the Figure 7 (MTBF, alpha) sweep.
 
-``sweep_mtbf_alpha`` feeds the Figure 7 heatmaps; the campaign subsystem
-(:class:`repro.campaign.SweepRunner`, the vectorised analytical grid)
-materialises the same grids.  These tests pin the generator's contract --
-grid ordering, waste-dict keys, numeric values at known points -- and assert
-that every rewrite path reproduces it bit for bit, so figure data cannot
-silently change.
+:class:`repro.campaign.SweepRunner` evaluates the Figure 7 heatmap grids,
+through the vectorised analytical grid when the job allows it and per point
+from the registered models otherwise.  These tests pin the sweep's contract
+-- grid ordering, waste-dict keys, numeric values at known points -- against
+both the runner and the scalar ``model_cls(...).waste(...)`` of every
+protocol, and assert that each evaluation path reproduces the scalar models
+bit for bit, so figure data cannot silently change.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.application.workload import ApplicationWorkload
 from repro.campaign import SweepJob, SweepRunner
-from repro.core.analytical import (
-    AbftPeriodicCkptModel,
-    BiPeriodicCkptModel,
-    PurePeriodicCkptModel,
-)
+from repro.core.analytical import PurePeriodicCkptModel
 from repro.core.analytical.grid import waste_grid
 from repro.core.parameters import ResilienceParameters
-from repro.experiments.sweep import SweepPoint, sweep_mtbf_alpha
+from repro.core.registry import resolve_protocol
 from repro.utils import MINUTE, WEEK
 
-FACTORIES = [PurePeriodicCkptModel, BiPeriodicCkptModel, AbftPeriodicCkptModel]
 PROTOCOLS = ("PurePeriodicCkpt", "BiPeriodicCkpt", "ABFT&PeriodicCkpt")
 MTBFS = (60 * MINUTE, 120 * MINUTE, 240 * MINUTE)
 ALPHAS = (0.0, 0.5, 1.0)
@@ -58,11 +55,39 @@ def base_parameters() -> ResilienceParameters:
     )
 
 
-@pytest.fixture(scope="module")
-def sweep_points(base_parameters) -> list[SweepPoint]:
-    return list(
-        sweep_mtbf_alpha(base_parameters, 1 * WEEK, MTBFS, ALPHAS, FACTORIES)
+def _job(parameters: ResilienceParameters, **changes) -> SweepJob:
+    return SweepJob(
+        parameters=parameters,
+        application_time=1 * WEEK,
+        mtbf_values=MTBFS,
+        alpha_values=ALPHAS,
+        **changes,
     )
+
+
+@pytest.fixture(scope="module")
+def scalar_points(base_parameters) -> list:
+    """``(mtbf, alpha, {protocol: waste})`` from each protocol's scalar
+    model, MTBF-major."""
+    points = []
+    for mtbf in MTBFS:
+        models = [
+            resolve_protocol(name).model_cls(base_parameters.with_mtbf(mtbf))
+            for name in PROTOCOLS
+        ]
+        for alpha in ALPHAS:
+            workload = ApplicationWorkload.single_epoch(
+                1 * WEEK, alpha, library_fraction=base_parameters.rho
+            )
+            points.append(
+                (mtbf, alpha, {model.name: model.waste(workload) for model in models})
+            )
+    return points
+
+
+@pytest.fixture(scope="module")
+def sweep_points(base_parameters) -> list:
+    return list(SweepRunner().run(_job(base_parameters)).points)
 
 
 class TestSweepMtbfAlphaContract:
@@ -70,58 +95,65 @@ class TestSweepMtbfAlphaContract:
         coords = [(p.mtbf, p.alpha) for p in sweep_points]
         assert coords == [(m, a) for m in MTBFS for a in ALPHAS]
 
-    def test_waste_dict_keys_are_protocol_names(self, sweep_points):
+    def test_waste_dict_keys_are_protocol_names(self, sweep_points, scalar_points):
         for point in sweep_points:
-            assert tuple(point.waste) == PROTOCOLS
+            assert tuple(point.model_waste) == PROTOCOLS
+        for _, _, waste in scalar_points:
+            assert tuple(waste) == PROTOCOLS
 
-    def test_pinned_values(self, sweep_points):
-        by_coords = {(p.mtbf, p.alpha): p.waste for p in sweep_points}
+    def test_pinned_values(self, sweep_points, scalar_points):
+        swept = {(p.mtbf, p.alpha): p.model_waste for p in sweep_points}
+        scalar = {(mtbf, alpha): waste for mtbf, alpha, waste in scalar_points}
         for (mtbf, alpha, protocol), expected in PINNED.items():
-            assert by_coords[(mtbf, alpha)][protocol] == pytest.approx(
-                expected, rel=1e-13
-            )
+            for source in (swept, scalar):
+                assert source[(mtbf, alpha)][protocol] == pytest.approx(
+                    expected, rel=1e-13
+                )
 
     def test_alpha_zero_collapses_to_pure_periodic(self, sweep_points):
         for point in sweep_points:
             if point.alpha == 0.0:
                 assert (
-                    point.waste["BiPeriodicCkpt"]
-                    == point.waste["ABFT&PeriodicCkpt"]
-                    == point.waste["PurePeriodicCkpt"]
+                    point.model_waste["BiPeriodicCkpt"]
+                    == point.model_waste["ABFT&PeriodicCkpt"]
+                    == point.model_waste["PurePeriodicCkpt"]
                 )
 
 
 class TestSweepRunnerEquivalence:
-    """The SweepRunner rewrite must reproduce the generator bit for bit."""
+    """Every SweepRunner path reproduces the scalar models bit for bit."""
 
-    @pytest.mark.parametrize("vectorized", [True, False], ids=["vector", "scalar"])
-    def test_runner_matches_generator(self, base_parameters, sweep_points, vectorized):
-        job = SweepJob(
-            parameters=base_parameters,
-            application_time=1 * WEEK,
-            mtbf_values=MTBFS,
-            alpha_values=ALPHAS,
-        )
-        result = SweepRunner(vectorized=vectorized).run(job)
-        assert len(result.points) == len(sweep_points)
-        for got, expected in zip(result.points, sweep_points):
-            assert (got.mtbf, got.alpha) == (expected.mtbf, expected.alpha)
-            assert got.model_waste == expected.waste
+    #: "vector" is the default job, evaluated in one broadcast pass;
+    #: "scalar" names the composite model's default ``per_epoch=True`` as a
+    #: model option, which routes the same grid through the per-point
+    #: model objects.
+    @pytest.mark.parametrize(
+        "model_params",
+        [(), (("ABFT&PeriodicCkpt", (("per_epoch", True),)),)],
+        ids=["vector", "scalar"],
+    )
+    def test_runner_matches_generator(
+        self, base_parameters, scalar_points, model_params
+    ):
+        job = _job(base_parameters, model_params=model_params)
+        result = SweepRunner().run(job)
+        assert len(result.points) == len(scalar_points)
+        for got, (mtbf, alpha, waste) in zip(result.points, scalar_points):
+            assert (got.mtbf, got.alpha) == (mtbf, alpha)
+            assert got.model_waste == waste
 
-    def test_vectorized_grid_matches_generator(self, base_parameters, sweep_points):
+    def test_vectorized_grid_matches_generator(self, base_parameters, scalar_points):
         grids = waste_grid(base_parameters, 1 * WEEK, MTBFS, ALPHAS, PROTOCOLS)
-        for point in sweep_points:
-            i = MTBFS.index(point.mtbf)
-            j = ALPHAS.index(point.alpha)
+        for mtbf, alpha, waste in scalar_points:
+            i = MTBFS.index(mtbf)
+            j = ALPHAS.index(alpha)
             for protocol in PROTOCOLS:
-                assert float(grids[protocol][i, j]) == point.waste[protocol]
+                assert float(grids[protocol][i, j]) == waste[protocol]
 
     def test_infeasible_regime_waste_is_one(self, base_parameters):
         # MTBF below D + R: checkpointing cannot keep up, waste saturates.
         grids = waste_grid(base_parameters, 1 * WEEK, (10 * MINUTE,), (0.0,))
         assert float(grids["PurePeriodicCkpt"][0, 0]) == 1.0
         scalar = PurePeriodicCkptModel(base_parameters.with_mtbf(10 * MINUTE))
-        from repro.application.workload import ApplicationWorkload
-
         workload = ApplicationWorkload.single_epoch(1 * WEEK, 0.0)
         assert scalar.waste(workload) == 1.0

@@ -148,23 +148,15 @@ class TestShardedCampaignTracing:
         assert all(e.parent_id in shard_ids for e in engine_spans)
         return campaign
 
-    def test_serial_backend_nests_in_process(self):
-        obs.configure(trace=True)
-        executor = ShardedVectorizedExecutor(workers=2, backend="serial")
-        executor.run(_engine(), runs=40, seed=5)
-        self._assert_hierarchy(obs.global_tracer().records(), shards=2)
-
     def test_process_backend_reparents_worker_spans(self):
         obs.configure(trace=True)
-        executor = ShardedVectorizedExecutor(workers=4, backend="process")
+        executor = ShardedVectorizedExecutor(workers=4)
         table = executor.run(_engine(), runs=40, seed=5)
         records = obs.global_tracer().records()
         campaign = self._assert_hierarchy(records, shards=4)
 
         obs.configure(metrics=False, trace=False)
-        serial = ShardedVectorizedExecutor(workers=1, backend="serial").run(
-            _engine(), runs=40, seed=5
-        )
+        serial = ShardedVectorizedExecutor(workers=1).run(_engine(), runs=40, seed=5)
         assert table == serial  # tracing never changes computed values
 
         doc = obs.global_tracer().chrome_trace()
@@ -180,19 +172,20 @@ class TestShardedCampaignTracing:
         # must ship home only its own spans or repeated campaigns would
         # re-ingest (and exponentially duplicate) the parent's history.
         obs.configure(trace=True)
-        executor = ShardedVectorizedExecutor(workers=2, backend="process")
+        executor = ShardedVectorizedExecutor(workers=2)
         executor.run(_engine(), runs=20, seed=1)
         first = len(obs.global_tracer().records())
         executor.run(_engine(), runs=20, seed=1)
         second = len(obs.global_tracer().records())
         assert second == 2 * first
 
-    def test_shard_counter_when_metrics_only(self):
+    def test_shard_counter_when_metrics_only(self, inline_pool):
         obs.configure(metrics=True, trace=False)
-        executor = ShardedVectorizedExecutor(workers=2, backend="serial")
-        executor.run(_engine(), runs=20, seed=2)
+        executor = ShardedVectorizedExecutor(workers=2)
+        with inline_pool():
+            executor.run(_engine(), runs=20, seed=2)
         shards = obs.catalog.family("repro_campaign_shards_total")
-        assert shards.value(backend="serial") == 2.0
+        assert shards.value() == 2.0
         assert obs.global_tracer().records() == []
 
 

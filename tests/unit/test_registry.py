@@ -33,7 +33,7 @@ class TestProtocolLookup:
 
     def test_noft_registered_but_not_in_pairs(self):
         assert "NoFT" in registry.protocol_names()
-        assert "NoFT" not in registry.PROTOCOL_PAIRS
+        assert "NoFT" not in registry.protocol_names(paper_only=True)
 
     def test_alias_and_case_insensitive_lookup(self):
         assert registry.resolve_protocol("abft").name == "ABFT&PeriodicCkpt"
@@ -70,33 +70,42 @@ class TestProtocolLookup:
 
 
 class TestProtocolPairsShim:
+    """The paper's protocol set: ``protocol_names(paper_only=True)`` and
+    each entry's ``model_cls`` / ``simulator_cls``."""
+
     def test_mapping_protocol(self):
-        pairs = registry.PROTOCOL_PAIRS
-        assert len(pairs) == 3
-        assert sorted(pairs) == [
+        names = registry.protocol_names(paper_only=True)
+        assert len(names) == 3
+        assert sorted(names) == [
             "ABFT&PeriodicCkpt",
             "BiPeriodicCkpt",
             "PurePeriodicCkpt",
         ]
-        assert pairs["PurePeriodicCkpt"][0] is PurePeriodicCkptModel
-        assert dict(pairs)  # Mapping -> dict round trip works
+        entry = registry.resolve_protocol("PurePeriodicCkpt")
+        assert entry.model_cls is PurePeriodicCkptModel
+        assert entry.simulator_cls is PurePeriodicCkptSimulator
+        assert all(registry.resolve_protocol(name).pair for name in names)
 
     def test_getitem_unknown_raises_keyerror(self):
         with pytest.raises(KeyError):
-            registry.PROTOCOL_PAIRS["NotAProtocol"]
+            registry.resolve_protocol("NotAProtocol")
 
     def test_getitem_agrees_with_contains(self):
-        # The view keeps the original dict's contract: exact canonical paper
-        # names only.  Aliases and non-paper entries belong to
-        # resolve_protocol, and __getitem__ must match __contains__.
+        # The paper set holds exact canonical names only: aliases and
+        # non-paper entries resolve through resolve_protocol but are not
+        # members.
+        paper = registry.protocol_names(paper_only=True)
         for name in ("NoFT", "pure", "purePeriodicCkpt"):
-            assert name not in registry.PROTOCOL_PAIRS
-            with pytest.raises(KeyError):
-                registry.PROTOCOL_PAIRS[name]
-            assert registry.PROTOCOL_PAIRS.get(name) is None
+            assert name not in paper
+            assert registry.resolve_protocol(name).name in registry.protocol_names()
+        assert registry.resolve_protocol("NoFT").name not in paper
 
     def test_protocol_names_constant(self):
-        assert registry.PROTOCOL_NAMES == tuple(registry.PROTOCOL_PAIRS)
+        assert registry.protocol_names(paper_only=True) == tuple(
+            name
+            for name in registry.protocol_names()
+            if registry.resolve_protocol(name).paper
+        )
 
 
 class TestRegistration:
@@ -117,7 +126,7 @@ class TestRegistration:
             assert entry.pair == (TestOnlyModel, TestOnlySimulator)
             # The new protocol shows up in the listing but not in the paper view.
             assert "TestOnlyCkpt" in registry.protocol_names()
-            assert "TestOnlyCkpt" in registry.PROTOCOL_PAIRS
+            assert "TestOnlyCkpt" in registry.protocol_names(paper_only=True)
         finally:
             registry._PROTOCOLS.pop("TestOnlyCkpt")
             for key in ("testonlyckpt", "toc"):

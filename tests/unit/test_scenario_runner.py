@@ -117,7 +117,7 @@ class TestRunScenario:
             )
         assert "did you mean" in str(excinfo.value)
 
-    def test_trace_sweep_shards_match_serial(self):
+    def test_trace_sweep_shards_match_serial(self, inline_pool):
         # Stateful (trace) models must not carry replay cursors from one
         # trial, or one shard, into the next.
         from repro.campaign import SweepRunner
@@ -131,9 +131,8 @@ class TestRunScenario:
         with pytest.warns(ExponentialAssumptionWarning):
             serial = run_scenario(spec)
         # Direct campaign-layer run: two shards on one simulator, in process.
-        sharded = SweepRunner(workers=2, backend="serial").run(
-            scenario_sweep_job(spec)
-        )
+        with inline_pool():
+            sharded = SweepRunner(workers=2).run(scenario_sweep_job(spec))
         for a, b in zip(serial.points, sharded.points):
             assert a.simulated_waste == b.simulated_waste
             assert a.simulated == b.simulated

@@ -1,11 +1,12 @@
-"""Unit tests for the Monte-Carlo runner."""
+"""Unit tests for the Monte-Carlo runner, ``run_monte_carlo``."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.simulation import MonteCarloRunner, run_monte_carlo
+from repro.campaign import ParallelMonteCarloExecutor
+from repro.simulation import run_monte_carlo
 from repro.simulation.trace import ExecutionTrace, TimeBreakdown
 
 
@@ -60,57 +61,39 @@ class TestRunMonteCarlo:
 
 
 class TestMonteCarloRunner:
-    def test_runner_run(self):
-        runner = MonteCarloRunner(runs=20, seed=5)
-        result = runner.run(_fake_simulation)
-        assert result.runs == 20
+    """The campaign result ``run_monte_carlo`` returns."""
 
-    def test_run_many_uses_distinct_seeds(self):
-        runner = MonteCarloRunner(runs=20, seed=5)
-        results = runner.run_many([_fake_simulation, _fake_simulation])
-        assert results[0].mean_waste != results[1].mean_waste
+    def test_runner_run(self):
+        result = run_monte_carlo(_fake_simulation, runs=20, seed=5)
+        assert result.runs == 20
+        assert result.table.runs == 20
 
     def test_invalid_runs(self):
-        with pytest.raises(ValueError):
-            MonteCarloRunner(runs=0)
+        with pytest.raises(ValueError, match="runs"):
+            run_monte_carlo(_fake_simulation, runs=0, seed=5)
 
     def test_properties(self):
-        runner = MonteCarloRunner(runs=7, seed=9)
-        assert runner.runs == 7
-        assert runner.seed == 9
+        result = run_monte_carlo(_fake_simulation, runs=7, seed=9)
+        assert result.runs == 7
+        assert result.mean_waste == result.waste.mean
+        assert result.mean_makespan == result.makespan.mean
+        assert result.mean_failures == result.failures.mean
+        assert result.truncated == 0
 
 
 class TestRunManySeedPolicy:
-    """Pins the documented policy: simulator ``i`` gets root seed ``seed + i``.
-
-    Cached sweep results and the serial/parallel equivalence guarantee both
-    depend on this mapping staying exactly as documented, so it is asserted
-    bit for bit rather than statistically.
-    """
-
-    def test_simulator_i_gets_seed_plus_i(self):
-        seed = 5
-        runner = MonteCarloRunner(runs=25, seed=seed)
-        results = runner.run_many([_fake_simulation, _fake_simulation, _fake_simulation])
-        for index, result in enumerate(results):
-            expected = run_monte_carlo(_fake_simulation, runs=25, seed=seed + index)
-            assert result.waste == expected.waste
-            assert result.makespan == expected.makespan
-            assert result.failures == expected.failures
-
-    def test_first_simulator_uses_root_seed_unshifted(self):
-        runner = MonteCarloRunner(runs=20, seed=31)
-        result = runner.run_many([_fake_simulation])[0]
-        assert result.waste == run_monte_carlo(_fake_simulation, runs=20, seed=31).waste
+    """Without a root seed every campaign draws fresh OS entropy: campaigns
+    are independent but not reproducible."""
 
     def test_seed_none_campaigns_are_independent(self):
-        runner = MonteCarloRunner(runs=30, seed=None)
-        a, b = runner.run_many([_fake_simulation, _fake_simulation])
+        a = run_monte_carlo(_fake_simulation, runs=30, seed=None)
+        b = run_monte_carlo(_fake_simulation, runs=30, seed=None)
         # Entropy-seeded campaigns must not accidentally share streams.
         assert a.mean_waste != b.mean_waste
 
     def test_seed_none_reruns_differ(self):
-        runner = MonteCarloRunner(runs=30, seed=None)
-        first = runner.run(_fake_simulation)
-        second = runner.run(_fake_simulation)
+        # The same holds through the sharded executor's single-trial face.
+        executor = ParallelMonteCarloExecutor(workers=1)
+        first = executor.run(_fake_simulation, runs=30)
+        second = executor.run(_fake_simulation, runs=30)
         assert first.mean_waste != second.mean_waste

@@ -90,11 +90,14 @@ class TestCampaignTruncation:
         assert bool(np.all(result.table.truncated))
         assert result.truncated == RUNS
 
-    def test_parallel_campaign_reports_same_truncated_count(self, simulator):
+    def test_parallel_campaign_reports_same_truncated_count(
+        self, simulator, inline_pool
+    ):
         serial = run_monte_carlo(simulator.simulate_once, runs=RUNS, seed=SEED)
-        parallel = ParallelMonteCarloExecutor(workers=3, backend="serial").run(
-            simulator.simulate_once, runs=RUNS, seed=SEED
-        )
+        with inline_pool():
+            parallel = ParallelMonteCarloExecutor(workers=3).run(
+                simulator.simulate_once, runs=RUNS, seed=SEED
+            )
         assert parallel.truncated == serial.truncated == RUNS
         assert parallel.waste == serial.waste
 

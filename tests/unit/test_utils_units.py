@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import math
 
-import pytest
-
 from repro.utils import units
 
 
@@ -31,12 +29,6 @@ class TestConversions:
     def test_to_seconds(self):
         assert units.to_seconds(10, units.MINUTE) == 600.0
 
-    def test_to_minutes_roundtrip(self):
-        assert units.to_minutes(units.to_seconds(42, units.MINUTE)) == pytest.approx(42)
-
-    def test_to_hours(self):
-        assert units.to_hours(7200.0) == pytest.approx(2.0)
-
 
 class TestFormatDuration:
     def test_seconds(self):
@@ -60,17 +52,3 @@ class TestFormatDuration:
 
     def test_precision(self):
         assert units.format_duration(90.0, precision=0) == "2 min"
-
-
-class TestFormatBytes:
-    def test_bytes(self):
-        assert units.format_bytes(512) == "512.00 B"
-
-    def test_gigabytes(self):
-        assert units.format_bytes(2.5e9) == "2.50 GB"
-
-    def test_petabytes(self):
-        assert units.format_bytes(3e15) == "3.00 PB"
-
-    def test_negative(self):
-        assert units.format_bytes(-1e6) == "-1.00 MB"
