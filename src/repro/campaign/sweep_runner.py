@@ -82,15 +82,15 @@ class SweepJob:
         model's ``per_epoch=False``); selecting any disables the vectorised
         grid path for the affected sweep.
     backend:
-        Monte-Carlo engine for simulated points: ``"event"`` (default, the
-        per-trial state-machine walk), ``"vectorized"`` (the across-trials
-        engine; every selected protocol must have a registered schedule
-        compiler and the failure law must be one of the registry's vectorized
-        laws -- exponential, Weibull, log-normal, trace -- else the job fails
-        with an actionable error) or ``"auto"`` (vectorized where supported,
-        event elsewhere).  The engines are bit-identical trial for trial,
-        so the backend is *not* part of the cache key -- entries are
-        interchangeable.
+        Monte-Carlo engine for simulated points: ``"auto"`` (default,
+        vectorized where supported, event elsewhere), ``"vectorized"`` (the
+        across-trials engine; every selected protocol must have a registered
+        schedule compiler and the failure law must be one of the registry's
+        vectorized laws -- exponential, Weibull, log-normal, trace -- else
+        the job fails with an actionable error) or ``"event"`` (the
+        per-trial state-machine walk, the reference oracle).  The engines
+        are bit-identical trial for trial, so the backend is *not* part of
+        the cache key -- entries are interchangeable.
     max_slowdown:
         Truncation cap forwarded to the simulators: a trial is cut short
         (and counted in the point summaries' ``truncated`` field) once its
@@ -111,7 +111,7 @@ class SweepJob:
     failure_model: str = "exponential"
     failure_params: Tuple[Tuple[str, Any], ...] = ()
     model_params: Tuple[Tuple[str, Tuple[Tuple[str, Any], ...]], ...] = ()
-    backend: str = "event"
+    backend: str = "auto"
     max_slowdown: float = 1e4
 
     def __post_init__(self) -> None:

@@ -182,9 +182,10 @@ def build_parser() -> argparse.ArgumentParser:
     fig7.add_argument("--csv", type=str, default=None, help="write the series to CSV")
     fig7.add_argument(
         "--workers",
-        type=_positive_int,
-        default=None,
-        help="worker processes for the Monte-Carlo trials (default: serial)",
+        type=_workers_arg,
+        default="auto",
+        help="worker processes for the --validate campaigns (a count, or "
+        "'auto' for the machine's cores capped by --runs; default: auto)",
     )
 
     campaign = sub.add_parser(
@@ -607,12 +608,13 @@ def _run_figure7(args: argparse.Namespace) -> int:
     config = paper_figure7_config()
     if args.reduced:
         config = config.reduced()
+    workers = _resolve_workers(args.workers, args.runs) if args.validate else None
     result = run_figure7(
         config,
         validate=args.validate,
         simulation_runs=args.runs,
         seed=args.seed,
-        workers=args.workers,
+        workers=workers,
     )
     print(result.to_table().to_text())
     if args.validate:

@@ -120,7 +120,9 @@ class Figure7Config:
 
         This is the delegation point of the config shim: the Figure 7
         harness lowers its config onto a scenario spec and runs it through
-        the unified scenario/campaign path.
+        the unified scenario/campaign path.  Its simulation runs on the
+        ``"auto"`` backend: the across-trials engine, bit-identical to the
+        per-trial event walk (``run_scenario(..., backend="event")``).
         """
         return ScenarioSpec(
             name="figure7",
@@ -140,7 +142,7 @@ class Figure7Config:
                 alpha_values=tuple(float(a) for a in self.alpha_values),
             ),
             simulation=SimulationSpec(
-                validate=validate, runs=simulation_runs, seed=seed
+                validate=validate, runs=simulation_runs, seed=seed, backend="auto"
             ),
         )
 

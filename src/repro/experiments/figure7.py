@@ -135,9 +135,9 @@ def run_figure7(
     protocols:
         Subset of protocols to evaluate (all three by default).
     workers:
-        Fan the Monte-Carlo trials of each grid point out over this many
-        worker processes (``None``/1 runs serially; results are identical
-        either way).
+        Run the grid's Monte-Carlo campaigns on a pool of this many worker
+        processes (``None``/1 runs serially; results are identical either
+        way).
     cache_dir:
         Cache completed grid points in this directory so an interrupted or
         repeated run recomputes only the missing points.

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import repro.campaign.executor as executor_module
+import repro.obs as obs
 from repro import ApplicationWorkload, ResilienceParameters
 from repro.utils import MINUTE, WEEK
 
@@ -46,6 +47,18 @@ def small_workload() -> ApplicationWorkload:
 def rng() -> np.random.Generator:
     """Deterministic NumPy generator."""
     return np.random.default_rng(2014)
+
+
+@pytest.fixture
+def metrics_on():
+    """Metrics on from a clean registry; the process's instrumentation is
+    left as found."""
+    was_enabled, was_tracing = obs.enabled(), obs.tracing()
+    obs.reset()
+    obs.configure(metrics=True)
+    yield
+    obs.configure(trace=was_tracing, metrics=was_enabled)
+    obs.reset()
 
 
 class _CountedFuture(Future):

@@ -29,15 +29,8 @@ MTBF = 45 * MINUTE
 TRACE = (1500.0, 4100.0, 900.0, 7300.0, 2600.0, 3300.0)
 
 
-@pytest.fixture(autouse=True)
-def metrics_on():
-    """Count pool starts; leave the process's instrumentation as found."""
-    was_enabled, was_tracing = obs.enabled(), obs.tracing()
-    obs.reset()
-    obs.configure(metrics=True)
-    yield
-    obs.configure(trace=was_tracing, metrics=was_enabled)
-    obs.reset()
+# Every test counts pool starts.
+pytestmark = pytest.mark.usefixtures("metrics_on")
 
 
 def _pool_starts() -> float:

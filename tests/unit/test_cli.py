@@ -63,6 +63,12 @@ class TestParser:
         args = build_parser().parse_args(["figure7", "--workers", "2"])
         assert args.workers == 2
 
+    def test_figure7_defaults(self):
+        args = build_parser().parse_args(["figure7"])
+        assert args.workers == "auto"
+        args = build_parser().parse_args(["figure7", "--workers", "auto"])
+        assert args.workers == "auto"
+
     def test_campaign_workers_accepts_count_and_auto(self):
         args = build_parser().parse_args(["campaign", "--workers", "3"])
         assert args.workers == 3
@@ -94,6 +100,14 @@ class TestMain:
         captured = capsys.readouterr().out
         assert exit_code == 0
         assert "Figure 7" in captured
+
+    def test_figure7_without_validate_starts_no_pool(self, capsys, inline_pool):
+        # --workers only applies to --validate: the model-only heatmaps
+        # resolve no workers and build no pool.
+        with inline_pool() as pool:
+            assert main(["figure7", "--reduced"]) == 0
+        assert pool.made == []
+        assert "workers-resolved" not in capsys.readouterr().err
 
     def test_abft_command(self, capsys):
         exit_code = main(["abft", "--kernel", "lu", "--n", "32", "--block-size", "8", "--trials", "1"])

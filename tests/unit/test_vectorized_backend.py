@@ -331,6 +331,13 @@ class TestSweepBackendSelection:
             assert a.simulated_waste == b.simulated_waste
             assert a.simulated == b.simulated
 
+    def test_default_backend_is_auto_and_matches_event_backend(self):
+        job = self._job()
+        assert job.backend == "auto"
+        default = SweepRunner().run(job)
+        event = SweepRunner().run(self._job(backend="event"))
+        assert default.points == event.points
+
     def test_auto_backend_matches_event_backend(self):
         event = SweepRunner().run(self._job(backend="event"))
         auto = SweepRunner().run(
